@@ -19,22 +19,12 @@ using namespace hpmm;
 namespace {
 
 MachineParams machine_from_args(const CliArgs& args) {
-  const std::string name = args.get("machine", "");
+  if (args.has("machine")) return machines::preset(args.get("machine", ""));
   MachineParams mp;
-  if (name == "ncube2") {
-    mp = machines::ncube2();
-  } else if (name == "future") {
-    mp = machines::future_hypercube();
-  } else if (name == "cm2") {
-    mp = machines::simd_cm2();
-  } else if (name == "cm5") {
-    mp = machines::cm5_measured();
-  } else {
-    mp.t_s = args.get_double("ts", 150.0);
-    mp.t_w = args.get_double("tw", 3.0);
-    mp.label = "custom (t_s=" + format_number(mp.t_s) +
-               ", t_w=" + format_number(mp.t_w) + ")";
-  }
+  mp.t_s = args.get_double("ts", 150.0);
+  mp.t_w = args.get_double("tw", 3.0);
+  mp.label = "custom (t_s=" + format_number(mp.t_s) +
+             ", t_w=" + format_number(mp.t_w) + ")";
   return mp;
 }
 

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     std::cout << "\nFitted isoefficiency exponent: W ~ p^"
               << format_number(fit.exponent, 3) << " over " << fit.points
               << " points (Table 1 asymptote: p^"
-              << format_number(table1_asymptotic_exponent(name), 2)
+              << format_number(model->isoefficiency_exponent(), 2)
               << " x polylog factors)\n";
   }
   if (reachable < ps.size()) {

@@ -21,6 +21,9 @@ namespace hpmm {
 class BerntsenAlgorithm final : public ParallelMatmul {
  public:
   std::string name() const override { return "berntsen"; }
+  std::string applicability() const override {
+    return "p = 2^(3q) <= n^(3/2), p^(2/3) | n";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

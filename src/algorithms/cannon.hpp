@@ -28,6 +28,10 @@ class CannonAlgorithm final : public ParallelMatmul {
   std::string name() const override {
     return mapping_ == Mapping::kMesh ? "cannon" : "cannon-gray";
   }
+  std::string applicability() const override {
+    return mapping_ == Mapping::kMesh ? "p square <= n^2, sqrt(p) | n"
+                                      : "as cannon, sqrt(p) = 2^k";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

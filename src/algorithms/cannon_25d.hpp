@@ -28,6 +28,9 @@ class Cannon25DAlgorithm final : public ParallelMatmul {
   explicit Cannon25DAlgorithm(std::size_t c = 2) : c_(c) {}
 
   std::string name() const override { return "cannon25d"; }
+  std::string applicability() const override {
+    return "p = c q^2 <= c n^2, c = 2^k <= p^(1/3), c | q, q | n (--c)";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

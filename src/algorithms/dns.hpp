@@ -21,6 +21,9 @@ namespace hpmm {
 class DnsAlgorithm final : public ParallelMatmul {
  public:
   std::string name() const override { return "dns"; }
+  std::string applicability() const override {
+    return "n^2 <= p = n^2 2^k <= n^3, n = 2^j";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

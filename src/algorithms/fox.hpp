@@ -27,6 +27,10 @@ class FoxAlgorithm final : public ParallelMatmul {
   std::string name() const override {
     return variant_ == Variant::kBinomialHypercube ? "fox" : "fox-pipe";
   }
+  std::string applicability() const override {
+    return variant_ == Variant::kBinomialHypercube ? "as cannon, sqrt(p) = 2^k"
+                                                   : "as cannon";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

@@ -41,6 +41,9 @@ class GkAlgorithm final : public ParallelMatmul {
       : broadcast_(broadcast), interconnect_(interconnect) {}
 
   std::string name() const override;
+  std::string applicability() const override {
+    return "p = 2^(3q) <= n^3, p^(1/3) | n";
+  }
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

@@ -1,12 +1,5 @@
 #include "algorithms/parallel_matmul.hpp"
 
-#include "algorithms/berntsen.hpp"
-#include "algorithms/cannon.hpp"
-#include "algorithms/cannon_25d.hpp"
-#include "algorithms/dns.hpp"
-#include "algorithms/fox.hpp"
-#include "algorithms/gk.hpp"
-#include "algorithms/simple_2d.hpp"
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -25,19 +18,6 @@ std::size_t ParallelMatmul::validated_order(const Matrix& a, const Matrix& b) {
   require(a.rows() == b.rows(), "ParallelMatmul: operands must share an order");
   require(!a.empty(), "ParallelMatmul: operands must be non-empty");
   return a.rows();
-}
-
-std::vector<std::unique_ptr<ParallelMatmul>> all_algorithms() {
-  std::vector<std::unique_ptr<ParallelMatmul>> out;
-  out.push_back(std::make_unique<SimpleAlgorithm>());
-  out.push_back(std::make_unique<CannonAlgorithm>());
-  out.push_back(std::make_unique<Cannon25DAlgorithm>());
-  out.push_back(std::make_unique<FoxAlgorithm>());
-  out.push_back(std::make_unique<BerntsenAlgorithm>());
-  out.push_back(std::make_unique<DnsAlgorithm>());
-  out.push_back(std::make_unique<GkAlgorithm>());
-  out.push_back(std::make_unique<GkAlgorithm>(GkAlgorithm::Broadcast::kJohnssonHo));
-  return out;
 }
 
 }  // namespace hpmm

@@ -46,6 +46,10 @@ class ParallelMatmul {
   /// applicability from Table 1 plus block-divisibility requirements).
   virtual void check_applicable(std::size_t n, std::size_t p) const = 0;
 
+  /// check_applicable's range in print (`hpmm list`): Table 1's range of
+  /// applicability plus the divisibility requirements.
+  virtual std::string applicability() const = 0;
+
   /// Non-throwing wrapper around check_applicable.
   bool applicable(std::size_t n, std::size_t p) const;
 
@@ -57,9 +61,5 @@ class ParallelMatmul {
   /// Shared argument validation: square, equal shapes, non-empty.
   static std::size_t validated_order(const Matrix& a, const Matrix& b);
 };
-
-/// All simulatable formulations (Simple, Cannon, Fox, Berntsen, DNS, GK and
-/// GK variants), in the order they appear in the paper.
-std::vector<std::unique_ptr<ParallelMatmul>> all_algorithms();
 
 }  // namespace hpmm

@@ -27,6 +27,15 @@ std::string SimpleAlgorithm::name() const {
   return "simple";
 }
 
+std::string SimpleAlgorithm::applicability() const {
+  switch (variant_) {
+    case Variant::kOnePortRing: return "as cannon";
+    case Variant::kOnePortRecursiveDoubling: return "as cannon, sqrt(p) = 2^k";
+    case Variant::kAllPort: return "as simple, n >= sqrt(p) log(p)/2";
+  }
+  return "as cannon";
+}
+
 void SimpleAlgorithm::check_applicable(std::size_t n, std::size_t p) const {
   require(p >= 1, "simple: need at least one processor");
   require(is_perfect_square(p), "simple: p must be a perfect square");

@@ -29,6 +29,7 @@ class SimpleAlgorithm final : public ParallelMatmul {
       : variant_(variant) {}
 
   std::string name() const override;
+  std::string applicability() const override;
   void check_applicable(std::size_t n, std::size_t p) const override;
   MatmulResult run(const Matrix& a, const Matrix& b, std::size_t p,
                    const MachineParams& params) const override;

@@ -16,37 +16,6 @@ std::string to_string(BoundsClass cls) {
   return "?";
 }
 
-BoundsClass bounds_class(const std::string& algorithm) {
-  struct Row {
-    const char* name;
-    BoundsClass cls;
-  };
-  // Registry names plus the model names they alias (cannon-gray -> cannon,
-  // fox-pipe -> fox), so both an Entry and its PerfModel resolve.
-  static const Row kTable[] = {
-      {"simple", BoundsClass::k2D},
-      {"simple-ring", BoundsClass::k2D},
-      {"simple-allport", BoundsClass::k2D},
-      {"cannon", BoundsClass::k2D},
-      {"cannon-gray", BoundsClass::k2D},
-      {"fox", BoundsClass::k2D},
-      {"fox-pipe", BoundsClass::k2D},
-      {"cannon25d", BoundsClass::k25D},
-      {"berntsen", BoundsClass::k3D},
-      {"dns", BoundsClass::k3D},
-      {"gk", BoundsClass::k3D},
-      {"gk-jh", BoundsClass::k3D},
-      {"gk-fc", BoundsClass::k3D},
-      {"gk-allport", BoundsClass::k3D},
-  };
-  for (const Row& row : kTable) {
-    if (algorithm == row.name) return row.cls;
-  }
-  throw PreconditionError("bounds_class: no bounds classification for '" +
-                          algorithm +
-                          "' -- add it to the table in analysis/bounds.cpp");
-}
-
 CommLowerBound comm_lower_bound(double n, double p, double memory_words) {
   require(n >= 1.0, "comm_lower_bound: n must be >= 1");
   require(p >= 1.0, "comm_lower_bound: p must be >= 1");
@@ -86,7 +55,7 @@ DistanceFromOptimal distance_from_measured(const PerfModel& model, double n,
           "distance_from_measured: negative word count");
   DistanceFromOptimal d;
   d.algorithm = model.name();
-  d.cls = bounds_class(d.algorithm);
+  d.cls = model.bounds_class();
   d.n = n;
   d.p = p;
   d.measured_total_words = measured_total_words;

@@ -6,24 +6,9 @@
 
 namespace hpmm {
 
-/// Communication-geometry class of a formulation: how many copies of the
-/// operands it keeps and therefore which communication lower bound and
-/// perfect-strong-scaling range apply (Ballard-Demmel-Holtz-Lipshitz,
-/// PAPERS.md #1).
-enum class BoundsClass {
-  k2D,   ///< one copy of each operand (simple, cannon, fox families)
-  k25D,  ///< c replicated copies, 1 < c < p^{1/3} (cannon25d)
-  k3D    ///< full p^{1/3}-fold replication (berntsen, dns, gk families)
-};
-
-/// "2D", "2.5D" or "3D".
+/// "2D", "2.5D" or "3D" (BoundsClass lives in analysis/perf_model.hpp: each
+/// model declares its own class).
 std::string to_string(BoundsClass cls);
-
-/// The classification of a registry algorithm (registry names and model
-/// names both resolve). Throws PreconditionError for an unknown name, so
-/// the registry guard test forces every future algorithm PR to classify
-/// itself here before the oracle suite will pass.
-BoundsClass bounds_class(const std::string& algorithm);
 
 /// Communication lower bound at one (n, p, M) point, in words per
 /// processor. Two regimes, both floors on the words some processor must
@@ -92,7 +77,7 @@ struct DistanceFromOptimal {
 
 /// Score an already-measured total word count against the bound evaluated
 /// at the model's own memory footprint M = model.memory_per_proc(n, p).
-/// The model supplies the name (classification) and M; it never runs.
+/// The model supplies the name, the class and M; it never runs.
 DistanceFromOptimal distance_from_measured(const PerfModel& model, double n,
                                            double p,
                                            double measured_total_words);

@@ -107,20 +107,4 @@ IsoFit fit_isoefficiency_exponent(const PerfModel& model,
   return fit;
 }
 
-double table1_asymptotic_exponent(const std::string& model_name) {
-  if (model_name == "berntsen") return 2.0;
-  if (model_name == "cannon" || model_name == "cannon-gray" ||
-      model_name == "simple" || model_name == "simple-ring" ||
-      model_name == "fox" || model_name == "fox-pipe") {
-    return 1.5;
-  }
-  if (model_name == "gk" || model_name == "dns" || model_name == "gk-jh" ||
-      model_name == "gk-allport" || model_name == "simple-allport" ||
-      model_name == "gk-fc") {
-    return 1.0;  // p times polylog factors
-  }
-  throw PreconditionError("table1_asymptotic_exponent: unknown model " +
-                          model_name);
-}
-
 }  // namespace hpmm

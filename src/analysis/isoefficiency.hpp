@@ -38,9 +38,4 @@ IsoFit fit_isoefficiency_exponent(const PerfModel& model,
                                   double target_efficiency,
                                   std::span<const double> procs);
 
-/// Closed-form asymptotic isoefficiency exponents from Table 1, for
-/// reference and for validating the numeric fits:
-/// berntsen 2.0, cannon 1.5, gk 1.0 (x (log p)^3), dns 1.0 (x log p).
-double table1_asymptotic_exponent(const std::string& model_name);
-
 }  // namespace hpmm

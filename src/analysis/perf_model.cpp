@@ -203,21 +203,4 @@ std::vector<std::unique_ptr<PerfModel>> table1_models(const MachineParams& param
   return out;
 }
 
-std::vector<std::unique_ptr<PerfModel>> all_models(const MachineParams& params) {
-  std::vector<std::unique_ptr<PerfModel>> out;
-  out.push_back(std::make_unique<SimpleModel>(params));
-  out.push_back(std::make_unique<SimpleRingModel>(params));
-  out.push_back(std::make_unique<CannonModel>(params));
-  out.push_back(std::make_unique<Cannon25DModel>(params));
-  out.push_back(std::make_unique<FoxModel>(params));
-  out.push_back(std::make_unique<BerntsenModel>(params));
-  out.push_back(std::make_unique<DnsModel>(params));
-  out.push_back(std::make_unique<GkModel>(params));
-  out.push_back(std::make_unique<GkJohnssonHoModel>(params));
-  out.push_back(std::make_unique<SimpleAllPortModel>(params));
-  out.push_back(std::make_unique<GkAllPortModel>(params));
-  out.push_back(std::make_unique<GkCm5Model>(params));
-  return out;
-}
-
 }  // namespace hpmm

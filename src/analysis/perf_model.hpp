@@ -8,6 +8,29 @@
 
 namespace hpmm {
 
+/// Communication-geometry class of a formulation: how many copies of the
+/// operands it keeps and therefore which communication lower bound and
+/// perfect-strong-scaling range apply (Ballard-Demmel-Holtz-Lipshitz,
+/// PAPERS.md #1; analysis/bounds.hpp).
+enum class BoundsClass {
+  k2D,   ///< one copy of each operand (simple, cannon, fox families)
+  k25D,  ///< c replicated copies, 1 < c < p^{1/3} (cannon25d)
+  k3D    ///< full p^{1/3}-fold replication (berntsen, dns, gk families)
+};
+
+/// Which formulation is the best choice at a point of the (p, n) plane —
+/// the regions of Figures 1-3 (analysis/region_map.hpp). Letters follow the
+/// paper's legend.
+enum class Region : char {
+  kNone = 'x',      ///< p > n^3: no formulation applicable
+  kGk = 'a',        ///< GK algorithm best
+  kBerntsen = 'b',  ///< Berntsen's algorithm best
+  kCannon = 'c',    ///< Cannon's algorithm best
+  kDns = 'd',       ///< DNS algorithm best
+  kCannon25 = 'e'   ///< 2.5D Cannon best for some replication c > 1
+                    ///< (extended maps only; absent from the paper's figures)
+};
+
 /// Analytical performance model of one parallel formulation: the paper's
 /// T_p expressions (Section 4) as continuous functions of matrix order n and
 /// processor count p, for a given set of machine parameters.
@@ -35,6 +58,18 @@ class PerfModel {
 
   /// Words of storage per processor (Section 4's memory-efficiency claims).
   virtual double memory_per_proc(double n, double p) const;
+
+  /// The lower bound and strong-scaling range this formulation is scored
+  /// against (analysis/bounds.hpp).
+  virtual BoundsClass bounds_class() const = 0;
+
+  /// Table 1's asymptotic isoefficiency exponent x in W ~ p^x, polylog
+  /// factors dropped: berntsen 2, cannon 1.5, gk and dns 1.
+  virtual double isoefficiency_exponent() const = 0;
+
+  /// The letter marking this formulation on the region maps of Figures
+  /// 1-3; kNone for formulations the maps never draw.
+  virtual Region region() const { return Region::kNone; }
 
   /// True when (n, p) lies in the formulation's range of applicability
   /// (continuous relaxation: divisibility constraints are ignored).
@@ -77,6 +112,8 @@ class SimpleModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k2D; }
+  double isoefficiency_exponent() const override { return 1.5; }
 };
 
 /// The simple algorithm with ring all-to-alls on a plain mesh (no hypercube
@@ -91,6 +128,8 @@ class SimpleRingModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k2D; }
+  double isoefficiency_exponent() const override { return 1.5; }
 };
 
 /// Cannon's algorithm, Eq. 3: T_p = n^3/p + 2 t_s sqrt(p) + 2 t_w n^2/sqrt(p).
@@ -101,6 +140,9 @@ class CannonModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k2D; }
+  double isoefficiency_exponent() const override { return 1.5; }
+  Region region() const override { return Region::kCannon; }
 };
 
 /// 2.5D memory-replicated Cannon (Ballard-Demmel-Holtz-Lipshitz) with
@@ -123,6 +165,9 @@ class Cannon25DModel final : public PerfModel {
   /// c <= p^{1/3}, i.e. p >= c^3.
   double min_procs(double n) const override { (void)n; return c_ * c_ * c_; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k25D; }
+  double isoefficiency_exponent() const override { return 1.5; }
+  Region region() const override { return Region::kCannon25; }
 
   double replication() const noexcept { return c_; }
 
@@ -139,6 +184,8 @@ class FoxModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k2D; }
+  double isoefficiency_exponent() const override { return 1.5; }
 };
 
 /// Berntsen's algorithm, Eq. 5:
@@ -151,6 +198,9 @@ class BerntsenModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override;
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 2.0; }
+  Region region() const override { return Region::kBerntsen; }
 };
 
 /// DNS algorithm, Eq. 6:
@@ -164,6 +214,9 @@ class DnsModel final : public PerfModel {
   double max_procs(double n) const override { return n * n * n; }
   double min_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 1.0; }
+  Region region() const override { return Region::kDns; }
 
   /// The efficiency ceiling 1/(1 + 2(t_s + t_w)) of Section 5.3.
   double efficiency_ceiling() const;
@@ -178,6 +231,9 @@ class GkModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 1.0; }
+  Region region() const override { return Region::kGk; }
 };
 
 /// GK with the Johnsson-Ho one-to-all broadcast (Section 5.4.1):
@@ -192,6 +248,8 @@ class GkJohnssonHoModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 1.0; }
 
   /// Granularity bound: smallest n for which every pipelined packet holds at
   /// least one word, n^2/p^{2/3} >= (t_s/t_w) log p (Section 5.4.1).
@@ -208,6 +266,8 @@ class SimpleAllPortModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k2D; }
+  double isoefficiency_exponent() const override { return 1.0; }
 
   /// Message-granularity bound of Section 7.1: n >= (1/2) sqrt(p) log p.
   double min_n_for_channels(double p) const;
@@ -222,6 +282,8 @@ class GkAllPortModel final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 1.0; }
 
   /// Granularity bound of Section 7.2 (problem must grow as p (log p)^3).
   double min_n_for_channels(double p) const;
@@ -236,13 +298,14 @@ class GkCm5Model final : public PerfModel {
   double comm_time(double n, double p) const override;
   double max_procs(double n) const override { return n * n * n; }
   double memory_per_proc(double n, double p) const override;
+  BoundsClass bounds_class() const override { return BoundsClass::k3D; }
+  double isoefficiency_exponent() const override { return 1.0; }
 };
 
-/// The four algorithms the paper compares in Sections 5-6 (Table 1 order):
-/// Berntsen, Cannon, GK, DNS — with the given machine parameters.
+/// The four algorithms the paper compares in Sections 5-6, in Table 1 order:
+/// Berntsen, Cannon, GK, DNS — with the given machine parameters. The one
+/// list behind select_among_table1 and the region maps; every comparison
+/// over it breaks ties in this order.
 std::vector<std::unique_ptr<PerfModel>> table1_models(const MachineParams& params);
-
-/// Every model in this header, same machine parameters.
-std::vector<std::unique_ptr<PerfModel>> all_models(const MachineParams& params);
 
 }  // namespace hpmm

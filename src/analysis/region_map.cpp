@@ -13,33 +13,31 @@ namespace hpmm {
 char to_char(Region r) noexcept { return static_cast<char>(r); }
 
 std::string to_string(Region r) {
-  switch (r) {
-    case Region::kNone: return "none";
-    case Region::kGk: return "gk";
-    case Region::kBerntsen: return "berntsen";
-    case Region::kCannon: return "cannon";
-    case Region::kDns: return "dns";
-    case Region::kCannon25: return "cannon25d";
+  const MachineParams any;
+  if (r == Region::kCannon25) return Cannon25DModel(any).name();
+  for (const auto& model : table1_models(any)) {
+    if (model->region() == r) return model->name();
   }
-  return "?";
+  return "none";
 }
 
-/// Smallest overhead the 2.5D formulation reaches at (n, p) over its
-/// replication envelope c = 2, 4, 8, ... with c^3 <= p; nullopt-like
-/// negative value when no replicated configuration applies. c = 1 is
+/// The 2.5D formulation's cheapest applicable configuration at (n, p) over
+/// its replication envelope c = 2, 4, 8, ... with c^3 <= p (smallest comm
+/// time, the first c on ties); null when none applies. c = 1 is
 /// deliberately excluded: it duplicates plain Cannon, so Region::kCannon25
 /// means "replication strictly helps here".
-static double best_cannon25_overhead(const MachineParams& params, double n,
-                                     double p) {
-  double best = -1.0;
+static std::unique_ptr<PerfModel> best_cannon25(const MachineParams& params,
+                                                double n, double p) {
+  std::unique_ptr<PerfModel> best;
   for (std::size_t c = 2; static_cast<double>(c) * static_cast<double>(c) *
                               static_cast<double>(c) <=
                           p;
        c *= 2) {
-    const Cannon25DModel model(params, c);
-    if (!model.applicable(n, p)) continue;
-    const double to = model.t_overhead(n, p);
-    if (best < 0.0 || to < best) best = to;
+    auto model = std::make_unique<Cannon25DModel>(params, c);
+    if (model->applicable(n, p) &&
+        (!best || model->comm_time(n, p) < best->comm_time(n, p))) {
+      best = std::move(model);
+    }
   }
   return best;
 }
@@ -57,35 +55,11 @@ static MachineParams word_count_machine() {
 
 bool RegionMap::comm_optimal_at(double n, double p, Region r) {
   const MachineParams words = word_count_machine();
+  // For 2.5D, the envelope's cheapest replicated configuration.
   std::unique_ptr<PerfModel> model;
-  switch (r) {
-    case Region::kNone: return false;
-    case Region::kGk: model = std::make_unique<GkModel>(words); break;
-    case Region::kBerntsen:
-      model = std::make_unique<BerntsenModel>(words);
-      break;
-    case Region::kCannon: model = std::make_unique<CannonModel>(words); break;
-    case Region::kDns: model = std::make_unique<DnsModel>(words); break;
-    case Region::kCannon25: {
-      // The envelope's cheapest replicated configuration, by word volume.
-      std::unique_ptr<PerfModel> best;
-      double best_words = 0.0;
-      for (std::size_t c = 2; static_cast<double>(c) * static_cast<double>(c) *
-                                  static_cast<double>(c) <=
-                              p;
-           c *= 2) {
-        auto candidate = std::make_unique<Cannon25DModel>(words, c);
-        if (!candidate->applicable(n, p)) continue;
-        const double w = candidate->comm_time(n, p);
-        if (!best || w < best_words) {
-          best_words = w;
-          best = std::move(candidate);
-        }
-      }
-      if (!best) return false;
-      model = std::move(best);
-      break;
-    }
+  if (r == Region::kCannon25) model = best_cannon25(words, n, p);
+  for (auto& candidate : table1_models(words)) {
+    if (candidate->region() == r) model = std::move(candidate);
   }
   if (!model || !model->applicable(n, p)) return false;
   const double moved = model->comm_time(n, p);
@@ -96,35 +70,20 @@ bool RegionMap::comm_optimal_at(double n, double p, Region r) {
 
 Region RegionMap::best_at(const MachineParams& params, double n, double p,
                           bool include_25d) {
-  const BerntsenModel berntsen(params);
-  const CannonModel cannon(params);
-  const GkModel gk(params);
-  const DnsModel dns(params);
-  struct Candidate {
-    const PerfModel* model;
-    Region region;
-  };
-  const Candidate candidates[] = {
-      {&berntsen, Region::kBerntsen},
-      {&cannon, Region::kCannon},
-      {&gk, Region::kGk},
-      {&dns, Region::kDns},
-  };
   Region best = Region::kNone;
   double best_to = 0.0;
-  for (const auto& c : candidates) {
-    if (!c.model->applicable(n, p)) continue;
-    const double to = c.model->t_overhead(n, p);
+  for (const auto& model : table1_models(params)) {
+    if (!model->applicable(n, p)) continue;
+    const double to = model->t_overhead(n, p);
     if (best == Region::kNone || to < best_to) {
-      best = c.region;
+      best = model->region();
       best_to = to;
     }
   }
-  if (include_25d) {
-    const double to = best_cannon25_overhead(params, n, p);
-    if (to >= 0.0 && (best == Region::kNone || to < best_to)) {
-      best = Region::kCannon25;
-    }
+  const auto cannon25 = include_25d ? best_cannon25(params, n, p) : nullptr;
+  if (cannon25 &&
+      (best == Region::kNone || cannon25->t_overhead(n, p) < best_to)) {
+    best = Region::kCannon25;
   }
   return best;
 }

@@ -8,18 +8,9 @@
 
 namespace hpmm {
 
-/// Which formulation is the best choice at a point of the (p, n) plane —
-/// the regions of Figures 1-3. Letters follow the paper's legend.
-enum class Region : char {
-  kNone = 'x',      ///< p > n^3: no formulation applicable
-  kGk = 'a',        ///< GK algorithm best
-  kBerntsen = 'b',  ///< Berntsen's algorithm best
-  kCannon = 'c',    ///< Cannon's algorithm best
-  kDns = 'd',       ///< DNS algorithm best
-  kCannon25 = 'e'   ///< 2.5D Cannon best for some replication c > 1
-                    ///< (extended maps only; absent from the paper's figures)
-};
-
+/// The region's legend letter, and the name of the formulation drawn with
+/// it ("none" for Region::kNone). Region itself lives in
+/// analysis/perf_model.hpp: each model declares its own letter.
 char to_char(Region r) noexcept;
 std::string to_string(Region r);
 

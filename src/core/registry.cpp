@@ -1,7 +1,5 @@
 #include "core/registry.hpp"
 
-#include <functional>
-
 #include "algorithms/berntsen.hpp"
 #include "algorithms/cannon.hpp"
 #include "algorithms/cannon_25d.hpp"
@@ -13,73 +11,64 @@
 
 namespace hpmm {
 
+namespace {
+
+template <class Model>
+std::unique_ptr<PerfModel> make_model(const MachineParams& params) {
+  return std::make_unique<Model>(params);
+}
+
+}  // namespace
+
 struct AlgorithmRegistry::Entry {
   std::string name;
   std::unique_ptr<ParallelMatmul> impl;
-  std::function<std::unique_ptr<PerfModel>(const MachineParams&)> make_model;
+  std::unique_ptr<PerfModel> (*make_model)(const MachineParams&);
 };
 
 AlgorithmRegistry::AlgorithmRegistry() {
+  // Selectable entries are the one-port hypercube formulations
+  // select_algorithm ranks. The all-port and fully-connected variants
+  // assume different hardware; simple-ring and the cannon-gray and fox-pipe
+  // embeddings are run by name only.
   const auto add = [this](std::unique_ptr<ParallelMatmul> impl,
-                          auto model_factory) {
-    Entry e;
-    e.name = impl->name();
-    e.impl = std::move(impl);
-    e.make_model = std::move(model_factory);
-    entries_.push_back(std::move(e));
+                          std::unique_ptr<PerfModel> (*make)(
+                              const MachineParams&),
+                          bool selectable) {
+    std::string name = impl->name();
+    if (selectable) selectable_.push_back(name);
+    entries_.push_back({std::move(name), std::move(impl), make});
   };
-  add(std::make_unique<SimpleAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<SimpleModel>(mp);
-  });
+  add(std::make_unique<SimpleAlgorithm>(), make_model<SimpleModel>, true);
   // The ring-all-to-all variant of the simple algorithm on a plain mesh;
   // its model is exact for the simulation.
   add(std::make_unique<SimpleAlgorithm>(SimpleAlgorithm::Variant::kOnePortRing),
-      [](const MachineParams& mp) {
-        return std::make_unique<SimpleRingModel>(mp);
-      });
-  add(std::make_unique<CannonAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<CannonModel>(mp);
-  });
+      make_model<SimpleRingModel>, false);
+  add(std::make_unique<CannonAlgorithm>(), make_model<CannonModel>, true);
   // Gray-code hypercube embedding of Cannon's mesh: identical cost (Eq. 3),
   // demonstrating Section 4.4's mesh == hypercube observation.
   add(std::make_unique<CannonAlgorithm>(CannonAlgorithm::Mapping::kHypercubeGray),
-      [](const MachineParams& mp) { return std::make_unique<CannonModel>(mp); });
+      make_model<CannonModel>, false);
   // 2.5D memory-replicated Cannon at the default replication c = 2; other
   // replication factors are reachable via the CLI's --c or by constructing
   // Cannon25DAlgorithm/Cannon25DModel directly.
-  add(std::make_unique<Cannon25DAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<Cannon25DModel>(mp);
-  });
-  add(std::make_unique<FoxAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<FoxModel>(mp);
-  });
+  add(std::make_unique<Cannon25DAlgorithm>(), make_model<Cannon25DModel>, true);
+  add(std::make_unique<FoxAlgorithm>(), make_model<FoxModel>, true);
   // Eq. 4's packet-pipelined row broadcast.
   add(std::make_unique<FoxAlgorithm>(FoxAlgorithm::Variant::kPipelinedRing),
-      [](const MachineParams& mp) { return std::make_unique<FoxModel>(mp); });
-  add(std::make_unique<BerntsenAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<BerntsenModel>(mp);
-  });
-  add(std::make_unique<DnsAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<DnsModel>(mp);
-  });
-  add(std::make_unique<GkAlgorithm>(), [](const MachineParams& mp) {
-    return std::make_unique<GkModel>(mp);
-  });
+      make_model<FoxModel>, false);
+  add(std::make_unique<BerntsenAlgorithm>(), make_model<BerntsenModel>, true);
+  add(std::make_unique<DnsAlgorithm>(), make_model<DnsModel>, true);
+  add(std::make_unique<GkAlgorithm>(), make_model<GkModel>, true);
   add(std::make_unique<GkAlgorithm>(GkAlgorithm::Broadcast::kJohnssonHo),
-      [](const MachineParams& mp) {
-        return std::make_unique<GkJohnssonHoModel>(mp);
-      });
+      make_model<GkJohnssonHoModel>, true);
   add(std::make_unique<GkAlgorithm>(GkAlgorithm::Broadcast::kBinomial,
                                     GkAlgorithm::Interconnect::kFullyConnected),
-      [](const MachineParams& mp) { return std::make_unique<GkCm5Model>(mp); });
+      make_model<GkCm5Model>, false);
   add(std::make_unique<SimpleAlgorithm>(SimpleAlgorithm::Variant::kAllPort),
-      [](const MachineParams& mp) {
-        return std::make_unique<SimpleAllPortModel>(mp);
-      });
+      make_model<SimpleAllPortModel>, false);
   add(std::make_unique<GkAlgorithm>(GkAlgorithm::Broadcast::kAllPort),
-      [](const MachineParams& mp) {
-        return std::make_unique<GkAllPortModel>(mp);
-      });
+      make_model<GkAllPortModel>, false);
 }
 
 std::vector<std::string> AlgorithmRegistry::names() const {

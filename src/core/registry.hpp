@@ -15,12 +15,19 @@ namespace hpmm {
 class AlgorithmRegistry {
  public:
   /// Registry of every formulation with both an implementation and a model:
-  /// simple, cannon, fox, berntsen, dns, gk, gk-jh, gk-fc, simple-allport,
-  /// gk-allport.
+  /// simple, simple-ring, cannon, cannon-gray, cannon25d, fox, fox-pipe,
+  /// berntsen, dns, gk, gk-jh, gk-fc, simple-allport, gk-allport.
   AlgorithmRegistry();
 
   /// Names in paper order.
   std::vector<std::string> names() const;
+
+  /// The formulations select_algorithm ranks, in registry order: the
+  /// one-port hypercube ones (simple, cannon, cannon25d, fox, berntsen, dns,
+  /// gk, gk-jh).
+  const std::vector<std::string>& selectable_names() const noexcept {
+    return selectable_;
+  }
 
   bool contains(const std::string& name) const;
 
@@ -35,6 +42,7 @@ class AlgorithmRegistry {
  private:
   struct Entry;
   std::vector<Entry> entries_;
+  std::vector<std::string> selectable_;
   const Entry& find(const std::string& name) const;
 };
 

@@ -43,19 +43,18 @@ Selection select_algorithm(std::size_t n, std::size_t p,
                            const MachineParams& params,
                            bool require_simulatable,
                            const AlgorithmRegistry& registry) {
-  // One-port hypercube formulations only — the all-port and fully-connected
-  // variants assume different hardware and are selected explicitly.
-  static const std::vector<std::string> kNames = {
-      "simple", "cannon", "cannon25d", "fox", "berntsen", "dns", "gk", "gk-jh"};
-  return select_from(kNames, n, p, params, require_simulatable, registry);
+  return select_from(registry.selectable_names(), n, p, params,
+                     require_simulatable, registry);
 }
 
 Selection select_among_table1(std::size_t n, std::size_t p,
                               const MachineParams& params,
                               bool require_simulatable) {
-  static const std::vector<std::string> kNames = {"berntsen", "cannon", "gk",
-                                                  "dns"};
-  return select_from(kNames, n, p, params, require_simulatable,
+  std::vector<std::string> names;
+  for (const auto& model : table1_models(params)) {
+    names.push_back(model->name());
+  }
+  return select_from(names, n, p, params, require_simulatable,
                      default_registry());
 }
 

@@ -78,5 +78,29 @@ MachineParams ideal() {
   return m;
 }
 
+std::span<const Preset> presets() {
+  static constexpr Preset kPresets[] = {
+      {"ncube2", ncube2}, {"future", future_hypercube}, {"cm2", simd_cm2},
+      {"cm5", cm5_measured}, {"ideal", ideal}};
+  return kPresets;
+}
+
+std::string preset_names(const std::string& separator) {
+  std::string out;
+  for (const Preset& p : presets()) {
+    if (!out.empty()) out += separator;
+    out += p.name;
+  }
+  return out;
+}
+
+MachineParams preset(const std::string& name) {
+  for (const Preset& p : presets()) {
+    if (name == p.name) return p.make();
+  }
+  throw PreconditionError("unknown machine '" + name + "' (expected one of " +
+                          preset_names(", ") + ")");
+}
+
 }  // namespace machines
 }  // namespace hpmm

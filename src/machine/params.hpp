@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "matrix/kernels.hpp"
@@ -131,6 +132,23 @@ MachineParams cm5_measured();
 
 /// Idealized machine with free communication; useful in tests.
 MachineParams ideal();
+
+/// A preset as the CLI and serve scripts name it.
+struct Preset {
+  const char* name;
+  MachineParams (*make)();
+};
+
+/// Every named preset, in `hpmm machines` order: ncube2, future, cm2, cm5,
+/// ideal.
+std::span<const Preset> presets();
+
+/// The preset names joined by `separator`, in presets() order.
+std::string preset_names(const std::string& separator);
+
+/// The preset called `name`; throws PreconditionError naming the presets
+/// for anything else.
+MachineParams preset(const std::string& name);
 
 }  // namespace machines
 

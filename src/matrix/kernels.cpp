@@ -191,13 +191,12 @@ std::string to_string(Kernel k) {
 }
 
 Kernel kernel_from_string(const std::string& name) {
-  for (Kernel k : {Kernel::kNaiveIjk, Kernel::kCacheIkj, Kernel::kBlocked,
-                   Kernel::kTransposedB, Kernel::kPacked}) {
+  std::string names;
+  for (Kernel k : kAllKernels) {
     if (to_string(k) == name) return k;
+    names += (names.empty() ? "" : ", ") + to_string(k);
   }
-  throw PreconditionError(
-      "unknown kernel '" + name +
-      "' (try naive-ijk, cache-ikj, blocked, transposed-b, packed)");
+  throw PreconditionError("unknown kernel '" + name + "' (try " + names + ")");
 }
 
 namespace {

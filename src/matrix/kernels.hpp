@@ -22,6 +22,11 @@ enum class Kernel : std::uint8_t {
   kPacked        ///< register-blocked micro-kernel over packed B panels
 };
 
+/// Every kernel, in declaration order.
+inline constexpr Kernel kAllKernels[] = {Kernel::kNaiveIjk, Kernel::kCacheIkj,
+                                         Kernel::kBlocked, Kernel::kTransposedB,
+                                         Kernel::kPacked};
+
 /// Human-readable kernel name ("naive-ijk", ...).
 std::string to_string(Kernel k);
 

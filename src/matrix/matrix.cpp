@@ -2,16 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace hpmm {
+namespace {
+
+/// rows * cols, refusing shapes whose element count wraps std::size_t or
+/// exceeds what a std::vector<double> can hold.
+std::size_t checked_size(std::size_t rows, std::size_t cols) {
+  // Every block allocation passes here: build the message only on failure.
+  if (cols != 0 && rows > std::vector<double>().max_size() / cols) {
+    throw PreconditionError("Matrix: " + std::to_string(rows) + " x " +
+                            std::to_string(cols) +
+                            " elements exceed the addressable size");
+  }
+  return rows * cols;
+}
+
+}  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
+    : rows_(rows), cols_(cols), data_(checked_size(rows, cols), 0.0) {}
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill_value)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill_value) {}
+    : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill_value) {}
 
 double& Matrix::at(std::size_t r, std::size_t c) {
   require(r < rows_ && c < cols_, "Matrix::at: index out of range");

@@ -38,13 +38,7 @@ bool is_rejection(ServeOutcome outcome) noexcept {
 }
 
 MachineParams serve_machine_params(const std::string& name) {
-  if (name == "ideal") return machines::ideal();
-  if (name == "ncube2") return machines::ncube2();
-  if (name == "future") return machines::future_hypercube();
-  if (name == "cm2") return machines::simd_cm2();
-  if (name == "cm5") return machines::cm5_measured();
-  throw PreconditionError("serve: unknown machine '" + name +
-                          "' (expected ideal, ncube2, future, cm2 or cm5)");
+  return machines::preset(name);
 }
 
 std::shared_ptr<const FaultPlan> fault_plan_for_attempt(

@@ -51,8 +51,8 @@ struct TenantRequest {
   std::shared_ptr<const FaultPlan> faults;
 };
 
-/// Machine preset by serve-script name: ideal, ncube2, future, cm2 or cm5.
-/// Throws PreconditionError for anything else.
+/// Machine preset by serve-script name (machines::preset: ncube2, future,
+/// cm2, cm5 or ideal). Throws PreconditionError for anything else.
 MachineParams serve_machine_params(const std::string& name);
 
 /// Copy of `base` with its injection seed re-mixed for retry `attempt`

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -15,10 +16,10 @@
 #include "analysis/isoefficiency.hpp"
 #include "analysis/region_map.hpp"
 #include "core/distance.hpp"
+#include "core/experiments.hpp"
 #include "core/registry.hpp"
 #include "core/runner.hpp"
 #include "core/selector.hpp"
-#include "core/experiments.hpp"
 #include "core/validate.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/kernels.hpp"
@@ -34,27 +35,6 @@
 
 namespace hpmm::tools {
 namespace {
-
-/// Range-of-applicability text per formulation (Table 1 plus divisibility).
-std::string applicability_text(const std::string& name) {
-  if (name == "berntsen") return "p = 2^(3q) <= n^(3/2), p^(2/3) | n";
-  if (name == "cannon") return "p square <= n^2, sqrt(p) | n";
-  if (name == "cannon-gray") return "as cannon, sqrt(p) = 2^k";
-  if (name == "cannon25d") {
-    return "p = c q^2 <= c n^2, c = 2^k <= p^(1/3), c | q, q | n (--c)";
-  }
-  if (name == "fox") return "as cannon, sqrt(p) = 2^k";
-  if (name == "fox-pipe") return "as cannon";
-  if (name == "simple") return "as cannon, sqrt(p) = 2^k";
-  if (name == "simple-ring") return "as cannon";
-  if (name == "simple-allport") return "as simple, n >= sqrt(p) log(p)/2";
-  if (name == "dns") return "n^2 <= p = n^2 2^k <= n^3, n = 2^j";
-  if (name == "gk" || name == "gk-jh" || name == "gk-fc" ||
-      name == "gk-allport") {
-    return "p = 2^(3q) <= n^3, p^(1/3) | n";
-  }
-  return "?";
-}
 
 /// Parse "pid:value[,pid:value...]" (straggler and fail-stop scenario
 /// flags). An empty string yields an empty list.
@@ -81,59 +61,51 @@ std::vector<std::pair<std::uint32_t, double>> parse_pid_values(
   return out;
 }
 
-AbftMode abft_from_args(const CliArgs& args) {
-  const std::string mode = args.get("abft", "off");
-  if (mode == "off") return AbftMode::kOff;
-  if (mode == "detect") return AbftMode::kDetect;
-  if (mode == "correct") return AbftMode::kCorrect;
-  throw PreconditionError("inject: --abft must be off, detect or correct, got '" +
-                          mode + "'");
+/// Run `writer` against the file at `path`. The stream state is checked
+/// both before writing (open failure) and after write + flush — a full disk
+/// or vanished path must surface as a PreconditionError naming --flag, not
+/// a silently truncated file.
+void write_file(const std::string& command, const std::string& flag,
+                const std::string& path,
+                const std::function<void(std::ostream&)>& writer) {
+  std::ofstream file(path);
+  require(file.good(),
+          command + ": cannot open --" + flag + " file '" + path + "'");
+  writer(file);
+  file.flush();
+  require(file.good(), command + ": writing --" + flag + " file '" + path +
+                           "' failed (disk full or device error?)");
 }
 
-/// Run `writer` against --out's file stream, or against `os` when --out is
-/// absent. The stream state is checked both before writing (open failure)
-/// and after write + flush — a full disk or vanished path must surface as a
-/// PreconditionError, not a silently truncated file.
-void write_output(const CliArgs& args, std::ostream& os,
-                  const std::string& command, const std::string& what,
+/// Run `writer` against --out's file, or against `os` when --out is absent.
+void write_output(const Flags& f, std::ostream& os, const std::string& command,
+                  const std::string& what,
                   const std::function<void(std::ostream&)>& writer) {
-  const std::string out = args.get("out", "");
+  const std::string out = f.text("out");
   if (out.empty()) {
     writer(os);
     return;
   }
-  std::ofstream file(out);
-  require(file.good(),
-          command + ": cannot open --out file '" + out + "'");
-  writer(file);
-  file.flush();
-  require(file.good(), command + ": writing --out file '" + out +
-                           "' failed (disk full or device error?)");
+  write_file(command, "out", out, writer);
   os << "wrote " << what << " to " << out << "\n";
 }
 
 /// `--metrics-out=FILE[.prom|.json]` final-snapshot writer shared by run
-/// and serve. The format is routed on the extension (util/export.hpp); the
-/// same stream-state checks as write_output apply.
-void write_metrics_out(const CliArgs& args, std::ostream& os,
+/// and serve; the format is routed on the extension (util/export.hpp).
+void write_metrics_out(const Flags& f, std::ostream& os,
                        const std::string& command,
                        const std::function<void(std::ostream&,
                                                 MetricsExportFormat)>& writer) {
-  const std::string path = args.get("metrics-out", "");
+  const std::string path = f.text("metrics-out");
   if (path.empty()) return;
   const MetricsExportFormat format = metrics_export_format(path);
-  std::ofstream file(path);
-  require(file.good(),
-          command + ": cannot open --metrics-out file '" + path + "'");
-  writer(file, format);
-  file.flush();
-  require(file.good(), command + ": writing --metrics-out file '" + path +
-                           "' failed (disk full or device error?)");
+  write_file(command, "metrics-out", path,
+             [&](std::ostream& s) { writer(s, format); });
   os << "wrote metrics to " << path << "\n";
 }
 
-void print_table(const CliArgs& args, const Table& table, std::ostream& os) {
-  const std::string format = args.get("format", "aligned");
+void print_table(const Flags& f, const Table& table, std::ostream& os) {
+  const std::string format = f.text("format");
   if (format == "csv") {
     table.print_csv(os);
   } else if (format == "json") {
@@ -145,141 +117,94 @@ void print_table(const CliArgs& args, const Table& table, std::ostream& os) {
   }
 }
 
-}  // namespace
-
-namespace {
-
-MachineParams base_machine_from_args(const CliArgs& args) {
-  const std::string name = args.get("machine", "");
-  if (name == "ncube2") return machines::ncube2();
-  if (name == "future") return machines::future_hypercube();
-  if (name == "cm2") return machines::simd_cm2();
-  if (name == "cm5") return machines::cm5_measured();
-  if (name == "ideal") return machines::ideal();
-  require(name.empty(), "unknown machine '" + name +
-                            "' (try ncube2, future, cm2, cm5, ideal)");
-  if (args.has("ts") || args.has("tw")) {
-    MachineParams mp;
-    mp.t_s = args.get_double("ts", 150.0);
-    mp.t_w = args.get_double("tw", 3.0);
+MachineParams machine_from_flags(const Flags& f) {
+  MachineParams mp;
+  if (f.has("machine")) {
+    mp = machines::preset(f.text("machine"));
+  } else if (f.has("ts") || f.has("tw")) {
+    mp.t_s = f.number("ts");
+    mp.t_w = f.number("tw");
     mp.label = "custom (t_s=" + format_number(mp.t_s) +
                ", t_w=" + format_number(mp.t_w) + ")";
-    return mp;
+  } else {
+    mp = machines::ncube2();
   }
-  return machines::ncube2();
+  // Execution policy: wall-clock only, never part of the cost model. Every
+  // kernel/threads setting yields bit-identical simulated times and results.
+  mp.exec.kernel = kernel_from_string(f.text("kernel"));
+  mp.exec.threads = static_cast<unsigned>(f.size("threads"));
+  // Capture sparsity for extreme-scale runs (docs/cli.md, DESIGN.md §12).
+  // Defaults reproduce the historical full-capture output byte for byte.
+  if (f.text("metrics") == "aggregate") {
+    mp.metrics_mode = MetricsMode::kAggregate;
+  }
+  const std::string traffic = f.text("traffic");
+  if (traffic == "on") mp.traffic_capture = TrafficCapture::kOn;
+  if (traffic == "off") mp.traffic_capture = TrafficCapture::kOff;
+  mp.trace_sample = f.number("trace-sample");
+  mp.trace_sample_seed = f.size("trace-seed");
+  // Causal span DAG capture (docs/observability.md); sampled by the same
+  // --trace-sample / --trace-seed gate as the timeline.
+  mp.causal = f.boolean("causal");
+  return mp;
 }
 
-/// Replication factor for cannon25d: --c, default 2. Range checks beyond
-/// positivity are deferred to the algorithm/model preconditions so error
-/// messages name the flag consistently.
-std::size_t replication_from_args(const CliArgs& args) {
-  const std::int64_t c = args.get_int("c", 2);
-  require(c >= 1, "--c: must be >= 1, got " + std::to_string(c));
-  return static_cast<std::size_t>(c);
-}
-
-/// Implementation + model pair for one --algorithm, honouring --c for
-/// cannon25d (the registry entry is fixed at c = 2; any other replication
-/// factor needs a bespoke instance).
+/// Implementation + model pair for one registry name. --c re-instantiates
+/// a replicated formulation at that replication factor (the registry entry
+/// is fixed at c = 2).
 struct AlgorithmChoice {
   const ParallelMatmul* impl = nullptr;
   std::unique_ptr<ParallelMatmul> owned_impl;  // set when impl is bespoke
   std::unique_ptr<PerfModel> model;
 };
 
-AlgorithmChoice algorithm_from_args(const CliArgs& args,
-                                    const std::string& algorithm,
-                                    const MachineParams& mp,
-                                    const std::string& command) {
-  AlgorithmChoice choice;
-  if (algorithm == "cannon25d" && args.has("c")) {
-    const std::size_t c = replication_from_args(args);
-    choice.owned_impl = std::make_unique<Cannon25DAlgorithm>(c);
-    choice.impl = choice.owned_impl.get();
-    choice.model = std::make_unique<Cannon25DModel>(mp, c);
-    return choice;
-  }
+AlgorithmChoice algorithm_from_flags(const Flags& f,
+                                     const std::string& algorithm,
+                                     const MachineParams& mp,
+                                     const std::string& command) {
   const auto& reg = default_registry();
   require(reg.contains(algorithm),
           command + ": unknown algorithm '" + algorithm + "'");
+  AlgorithmChoice choice;
   choice.impl = &reg.implementation(algorithm);
-  choice.model = reg.model(algorithm, mp);
+  if (f.has("c") && dynamic_cast<const Cannon25DAlgorithm*>(choice.impl)) {
+    const std::size_t c = f.size("c");
+    choice.owned_impl = std::make_unique<Cannon25DAlgorithm>(c);
+    choice.impl = choice.owned_impl.get();
+    choice.model = std::make_unique<Cannon25DModel>(mp, c);
+  } else {
+    choice.model = reg.model(algorithm, mp);
+  }
   return choice;
 }
 
-}  // namespace
-
-MachineParams machine_from_args(const CliArgs& args) {
-  MachineParams mp = base_machine_from_args(args);
-  // Execution policy: wall-clock only, never part of the cost model. Every
-  // kernel/threads setting yields bit-identical simulated times and results.
-  if (args.has("kernel")) {
-    mp.exec.kernel = kernel_from_string(args.get("kernel", ""));
-  }
-  const std::int64_t threads = args.get_int("threads", 1);
-  require(threads >= 1, "--threads: must be >= 1, got " +
-                            std::to_string(threads));
-  mp.exec.threads = static_cast<unsigned>(threads);
-  // Capture sparsity for extreme-scale runs (docs/cli.md, DESIGN.md §12).
-  // Defaults reproduce the historical full-capture output byte for byte.
-  const std::string metrics = args.get("metrics", "full");
-  if (metrics == "aggregate") {
-    mp.metrics_mode = MetricsMode::kAggregate;
-  } else {
-    require(metrics == "full",
-            "--metrics: expected 'full' or 'aggregate', got '" + metrics + "'");
-  }
-  const std::string traffic = args.get("traffic", "auto");
-  if (traffic == "on") {
-    mp.traffic_capture = TrafficCapture::kOn;
-  } else if (traffic == "off") {
-    mp.traffic_capture = TrafficCapture::kOff;
-  } else {
-    require(traffic == "auto",
-            "--traffic: expected 'auto', 'on' or 'off', got '" + traffic + "'");
-  }
-  mp.trace_sample = args.get_double("trace-sample", 1.0);
-  require(mp.trace_sample >= 0.0 && mp.trace_sample <= 1.0,
-          "--trace-sample: must be in [0, 1]");
-  mp.trace_sample_seed =
-      static_cast<std::uint64_t>(args.get_int("trace-seed", 0));
-  // Causal span DAG capture (docs/observability.md); sampled by the same
-  // --trace-sample / --trace-seed gate as the timeline.
-  mp.causal = args.get_bool("causal", false);
-  return mp;
-}
-
-int cmd_list(const CliArgs& args, std::ostream& os) {
+int cmd_list(const Flags& f, std::ostream& os) {
   const auto& reg = default_registry();
   Table t({"algorithm", "range of applicability"});
   for (const auto& name : reg.names()) {
-    t.begin_row().add(name).add(applicability_text(name));
+    t.begin_row().add(name).add(reg.implementation(name).applicability());
   }
-  print_table(args, t, os);
+  print_table(f, t, os);
   return 0;
 }
 
-int cmd_machines(const CliArgs& args, std::ostream& os) {
+int cmd_machines(const Flags& f, std::ostream& os) {
   Table t({"name", "t_s", "t_w", "description"});
-  const auto row = [&t](const char* key, const MachineParams& mp) {
-    t.begin_row().add(key).add_num(mp.t_s).add_num(mp.t_w).add(mp.label);
-  };
-  row("ncube2", machines::ncube2());
-  row("future", machines::future_hypercube());
-  row("cm2", machines::simd_cm2());
-  row("cm5", machines::cm5_measured());
-  row("ideal", machines::ideal());
-  print_table(args, t, os);
+  for (const machines::Preset& preset : machines::presets()) {
+    const MachineParams mp = preset.make();
+    t.begin_row().add(preset.name).add_num(mp.t_s).add_num(mp.t_w);
+    t.add(mp.label);
+  }
+  print_table(f, t, os);
   return 0;
 }
 
-int cmd_select(const CliArgs& args, std::ostream& os) {
-  const auto n = static_cast<std::size_t>(args.get_int("n", 0));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 0));
-  require(n > 0 && p > 0, "select: --n and --p are required");
-  const MachineParams mp = machine_from_args(args);
-  const Selection sel =
-      select_algorithm(n, p, mp, args.get_bool("simulatable", true));
+int cmd_select(const Flags& f, std::ostream& os) {
+  require(f.has("n") && f.has("p"), "select: --n and --p are required");
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
+  const MachineParams mp = machine_from_flags(f);
+  const Selection sel = select_algorithm(n, p, mp, f.boolean("simulatable"));
   Table t({"algorithm", "applicable", "predicted T_p", "predicted E"});
   for (const auto& c : sel.candidates) {
     t.begin_row().add(c.name);
@@ -289,7 +214,7 @@ int cmd_select(const CliArgs& args, std::ostream& os) {
       t.add("no").add("-").add("-");
     }
   }
-  print_table(args, t, os);
+  print_table(f, t, os);
   if (sel.best.empty()) {
     os << "no applicable formulation for n=" << n << ", p=" << p << "\n";
     return 1;
@@ -299,23 +224,22 @@ int cmd_select(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_run(const CliArgs& args, std::ostream& os) {
-  const std::string algorithm = args.get("algorithm", "gk");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 64));
-  const MachineParams mp = machine_from_args(args);
-  const AlgorithmChoice choice = algorithm_from_args(args, algorithm, mp, "run");
-  const auto pt = validate_algorithm(
-      *choice.impl, *choice.model, n, p,
-      static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  write_metrics_out(args, os, "run",
+int cmd_run(const Flags& f, std::ostream& os) {
+  const std::string algorithm = f.text("algorithm");
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
+  const MachineParams mp = machine_from_flags(f);
+  const AlgorithmChoice choice = algorithm_from_flags(f, algorithm, mp, "run");
+  const auto pt =
+      validate_algorithm(*choice.impl, *choice.model, n, p, f.size("seed"));
+  write_metrics_out(f, os, "run",
                     [&pt](std::ostream& s, MetricsExportFormat format) {
                       write_metrics(pt.report.metrics, format, s);
                     });
-  if (args.get("format", "aligned") == "json") {
+  if (f.text("format") == "json") {
     // One JSON object: the full simulated RunReport plus the model
     // comparison and product check that `run` adds on top of it.
-    write_output(args, os, "run", "run report", [&pt](std::ostream& s) {
+    write_output(f, os, "run", "run report", [&pt](std::ostream& s) {
       s << "{\"report\":";
       pt.report.write_json(s);
       s << ",\"model_t_parallel\":" << json_number(pt.model_t_parallel)
@@ -341,15 +265,14 @@ int cmd_run(const CliArgs& args, std::ostream& os) {
   return pt.product_correct ? 0 : 1;
 }
 
-int cmd_iso(const CliArgs& args, std::ostream& os) {
-  const std::string algorithm = args.get("algorithm", "gk");
-  const double efficiency = args.get_double("efficiency", 0.7);
-  const MachineParams mp = machine_from_args(args);
-  const auto model = algorithm_from_args(args, algorithm, mp, "iso").model;
+int cmd_iso(const Flags& f, std::ostream& os) {
+  const double efficiency = f.number("efficiency");
+  const MachineParams mp = machine_from_flags(f);
+  const auto model =
+      algorithm_from_flags(f, f.text("algorithm"), mp, "iso").model;
   Table t({"p", "n needed", "W = n^3", "W/p"});
   std::vector<double> ps;
-  for (double p = args.get_double("pmin", 8);
-       p <= args.get_double("pmax", 1e9); p *= 8) {
+  for (double p = f.number("pmin"); p <= f.number("pmax"); p *= 8) {
     ps.push_back(p);
     const auto n = iso_matrix_order(*model, p, efficiency);
     t.begin_row().add(format_si(p, 3));
@@ -360,7 +283,7 @@ int cmd_iso(const CliArgs& args, std::ostream& os) {
       t.add("unreachable").add("-").add("-");
     }
   }
-  print_table(args, t, os);
+  print_table(f, t, os);
   const auto fit = fit_isoefficiency_exponent(*model, efficiency, ps);
   if (fit.points >= 2) {
     os << "fitted: W ~ p^" << format_number(fit.exponent, 3) << " at E = "
@@ -369,59 +292,40 @@ int cmd_iso(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_regions(const CliArgs& args, std::ostream& os) {
-  if (args.has("n") && args.has("p")) {
+int cmd_regions(const Flags& f, std::ostream& os) {
+  if (f.has("n") && f.has("p")) {
     // Dual view: fixed workload, sweep the machine's (t_s, t_w) plane.
-    require(!args.has("with-bounds"),
+    require(!f.has("with-bounds"),
             "regions: --with-bounds applies to the (p, n) map, not the "
             "(t_s, t_w) dual view");
-    const MachineSpaceMap map(
-        args.get_double("n", 64), args.get_double("p", 512),
-        args.get_double("tsmin", 0.1), args.get_double("tsmax", 1000.0),
-        static_cast<std::size_t>(args.get_int("tscells", 72)),
-        args.get_double("twmin", 0.2), args.get_double("twmax", 30.0),
-        static_cast<std::size_t>(args.get_int("twcells", 24)));
+    const MachineSpaceMap map(f.number("n"), f.number("p"), f.number("tsmin"),
+                              f.number("tsmax"), f.size("tscells"),
+                              f.number("twmin"), f.number("twmax"),
+                              f.size("twcells"));
     map.print_ascii(os);
     return 0;
   }
-  const MachineParams mp = machine_from_args(args);
   // --with-25d extends the paper's four-way comparison with the 2.5D
   // formulation's replication envelope (region letter 'e'); --with-bounds
   // upper-cases the cells where the winner is communication-optimal.
-  const RegionMap map(mp, args.get_double("pmin", 1.0),
-                      args.get_double("pmax", 1e9),
-                      static_cast<std::size_t>(args.get_int("pcells", 72)),
-                      args.get_double("nmin", 1.0),
-                      args.get_double("nmax", 1e5),
-                      static_cast<std::size_t>(args.get_int("ncells", 36)),
-                      args.get_bool("with-25d", false),
-                      args.get_bool("with-bounds", false));
+  const RegionMap map(machine_from_flags(f), f.number("pmin"),
+                      f.number("pmax"), f.size("pcells"), f.number("nmin"),
+                      f.number("nmax"), f.size("ncells"),
+                      f.boolean("with-25d"), f.boolean("with-bounds"));
   map.print_ascii(os);
   return 0;
 }
 
-int cmd_bounds(const CliArgs& args, std::ostream& os) {
-  // Strict flag validation up front: unlike the presentational commands,
-  // bounds is an oracle surface, so a typo must fail loudly, not fall back.
-  const std::string format = args.get("format", "aligned");
-  require(format == "aligned" || format == "csv" || format == "markdown" ||
-              format == "json",
-          "bounds: --format must be aligned, csv, markdown or json, got '" +
-              format + "'");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 64));
-  require(n >= 1, "bounds: --n must be >= 1");
-  require(p >= 1, "bounds: --p must be >= 1");
-  const double machine_memory = args.get_double("memory", 1048576.0);
-  require(machine_memory > 0.0, "bounds: --memory must be positive (words "
-                                "of storage per processor)");
-  const bool measured = args.get_bool("measured", false);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const MachineParams mp = machine_from_args(args);
+int cmd_bounds(const Flags& f, std::ostream& os) {
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
+  const double machine_memory = f.number("memory");
+  const bool measured = f.boolean("measured");
+  const MachineParams mp = machine_from_flags(f);
 
   const auto& reg = default_registry();
   std::vector<std::string> names;
-  const std::string algo = args.get("algo", "all");
+  const std::string algo = f.text("algo");
   if (algo == "all") {
     names = reg.names();
   } else {
@@ -442,8 +346,8 @@ int cmd_bounds(const CliArgs& args, std::ostream& os) {
   }
   Table t(std::move(headers));
   for (const std::string& name : names) {
-    const AlgorithmChoice choice = algorithm_from_args(args, name, mp, "bounds");
-    const BoundsClass cls = bounds_class(name);
+    const AlgorithmChoice choice = algorithm_from_flags(f, name, mp, "bounds");
+    const BoundsClass cls = choice.model->bounds_class();
     const StrongScalingRange ss =
         strong_scaling_range(cls, nd, machine_memory);
     t.begin_row().add(name).add(to_string(cls));
@@ -462,8 +366,8 @@ int cmd_bounds(const CliArgs& args, std::ostream& os) {
     t.add(format_si(ss.p_min, 3)).add(format_si(ss.p_max, 3));
     if (measured) {
       if (choice.impl->applicable(n, p)) {
-        const DistanceFromOptimal d =
-            distance_from_optimal(*choice.impl, *choice.model, n, p, seed);
+        const DistanceFromOptimal d = distance_from_optimal(
+            *choice.impl, *choice.model, n, p, f.size("seed"));
         t.add(format_si(d.measured_total_words, 3));
         t.add(std::isfinite(d.ratio) ? format_number(d.ratio, 4)
                                      : std::string("inf"));
@@ -472,8 +376,8 @@ int cmd_bounds(const CliArgs& args, std::ostream& os) {
       }
     }
   }
-  print_table(args, t, os);
-  if (format != "json") {
+  print_table(f, t, os);
+  if (f.text("format") != "json") {
     os << "bounds at n=" << n << ", p=" << p
        << "; M/proc = each formulation's own footprint, strong-scaling range "
           "at --memory="
@@ -485,82 +389,75 @@ int cmd_bounds(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_crossover(const CliArgs& args, std::ostream& os) {
-  const std::string a = args.get("a", "gk");
-  const std::string b = args.get("b", "cannon");
-  const MachineParams mp = machine_from_args(args);
-  const auto model_a = algorithm_from_args(args, a, mp, "crossover").model;
-  const auto model_b = algorithm_from_args(args, b, mp, "crossover").model;
+int cmd_crossover(const Flags& f, std::ostream& os) {
+  const std::string a = f.text("a");
+  const std::string b = f.text("b");
+  const MachineParams mp = machine_from_flags(f);
+  const auto model_a = algorithm_from_flags(f, a, mp, "crossover").model;
+  const auto model_b = algorithm_from_flags(f, b, mp, "crossover").model;
   Table t({"p", "n_EqualTo(" + a + " vs " + b + ")"});
-  for (double p = args.get_double("pmin", 4);
-       p <= args.get_double("pmax", 1e9); p *= 8) {
+  for (double p = f.number("pmin"); p <= f.number("pmax"); p *= 8) {
     const auto n = n_equal_overhead(*model_a, *model_b, p);
     t.begin_row().add(format_si(p, 3)).add(
         n ? format_number(*n, 4) : std::string("- (one dominates)"));
   }
-  print_table(args, t, os);
+  print_table(f, t, os);
   os << "below the curve " << a << " has the smaller overhead; above it " << b
      << " does (" << mp.label << ")\n";
   return 0;
 }
 
-int cmd_trace(const CliArgs& args, std::ostream& os) {
-  const std::string algorithm = args.get("algorithm", "gk");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 16));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 8));
-  MachineParams mp = machine_from_args(args);
+int cmd_trace(const Flags& f, std::ostream& os) {
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
+  MachineParams mp = machine_from_flags(f);
   mp.trace = true;
   const AlgorithmChoice choice =
-      algorithm_from_args(args, algorithm, mp, "trace");
+      algorithm_from_flags(f, f.text("algorithm"), mp, "trace");
   const ParallelMatmul& impl = *choice.impl;
   impl.check_applicable(n, p);
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 5)));
+  Rng rng(f.size("seed"));
   const Matrix a = random_matrix(n, n, rng);
   const Matrix b = random_matrix(n, n, rng);
   const MatmulResult result = impl.run(a, b, p, mp);
-  const std::string format = args.get("format", "gantt");
-  if (format == "chrome") {
+  if (f.text("format") == "chrome") {
     // Chrome trace-event JSON: load into chrome://tracing or Perfetto.
     const std::string what = "chrome trace (" +
                              std::to_string(result.trace.events().size()) +
                              " events)";
-    write_output(args, os, "trace", what, [&result](std::ostream& s) {
+    write_output(f, os, "trace", what, [&result](std::ostream& s) {
       result.trace.write_chrome(s);
     });
     return 0;
   }
-  require(format == "gantt",
-          "trace: --format must be gantt or chrome, got '" + format + "'");
   os << result.report.summary() << "\n";
-  result.trace.print_gantt(
-      os, static_cast<std::size_t>(args.get_int("width", 72)),
-      static_cast<std::size_t>(args.get_int("procs", 16)));
+  result.trace.print_gantt(os, f.size("width"), f.size("procs"));
   return 0;
 }
 
-int cmd_profile(const CliArgs& args, std::ostream& os) {
-  const std::string algorithm = args.get("algorithm", "cannon");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 16));
-  MachineParams mp = machine_from_args(args);
+int cmd_profile(const Flags& f, std::ostream& os) {
+  const std::string algorithm = f.text("algorithm");
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
+  MachineParams mp = machine_from_flags(f);
   // Minimal fault scenario flags so `profile --causal=1` can attribute
   // retry and straggler spans on the measured critical path (the full
   // scenario surface lives on `inject`).
-  if (args.has("drop") || args.has("stragglers")) {
+  if (f.has("drop") || f.has("stragglers")) {
     auto plan = std::make_shared<FaultPlan>();
-    plan->seed = static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
-    plan->drop_prob = args.get_double("drop", 0.0);
+    plan->seed = f.size("fault-seed");
+    plan->drop_prob = f.number("drop");
     plan->reliable = true;
-    for (const auto& [pid, factor] : parse_pid_values(
-             args.get("stragglers", ""), "profile: --stragglers")) {
+    for (const auto& [pid, factor] :
+         parse_pid_values(f.text("stragglers"), "profile: --stragglers")) {
       plan->stragglers.push_back({pid, factor});
     }
     mp.faults = std::move(plan);
   }
   const AlgorithmChoice choice =
-      algorithm_from_args(args, algorithm, mp, "profile");
+      algorithm_from_flags(f, algorithm, mp, "profile");
   choice.impl->check_applicable(n, p);
-  Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  Rng rng(f.size("seed"));
   const Matrix a = random_matrix(n, n, rng);
   const Matrix b = random_matrix(n, n, rng);
 
@@ -602,9 +499,9 @@ int cmd_profile(const CliArgs& args, std::ostream& os) {
   mp_word.t_s = 0.0;
   mp_word.t_h = 0.0;
   const auto model_startup =
-      algorithm_from_args(args, algorithm, mp_startup, "profile").model;
+      algorithm_from_flags(f, algorithm, mp_startup, "profile").model;
   const auto model_word =
-      algorithm_from_args(args, algorithm, mp_word, "profile").model;
+      algorithm_from_flags(f, algorithm, mp_word, "profile").model;
   const double nd = static_cast<double>(n);
   const double pd = static_cast<double>(p);
   const PathTerms& cp = report.critical_path;
@@ -633,10 +530,10 @@ int cmd_profile(const CliArgs& args, std::ostream& os) {
   rec_row("words vs lower bound", dist.measured_total_words,
           dist.bound.total_words);
 
-  write_output(args, os, "profile", "profile report", [&](std::ostream& s) {
+  write_output(f, os, "profile", "profile report", [&](std::ostream& s) {
     s << algorithm << ": n=" << n << " p=" << p << " (" << mp.label << ")\n";
-    print_table(args, phases, s);
-    print_table(args, rec, s);
+    print_table(f, phases, s);
+    print_table(f, rec, s);
     s << "T_p = " << format_number(report.t_parallel, 6)
       << " (critical path sums to " << format_number(cp.total(), 6) << ")\n";
     // Measured (causal-DAG) critical path against the model-term chain:
@@ -694,17 +591,11 @@ int cmd_profile(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_reproduce(const CliArgs& args, std::ostream& os) {
-  const std::string which = args.get("experiment", "all");
-  std::vector<ExperimentResult> results;
-  if (which == "all") {
-    results = ExperimentSuite::run_all();
-  } else {
-    require(ExperimentSuite::contains(which),
-            "reproduce: unknown experiment '" + which +
-                "' (try table1, fig1..fig5, sec6, sec7, sec8, validation)");
-    results.push_back(ExperimentSuite::run(which));
-  }
+int cmd_reproduce(const Flags& f, std::ostream& os) {
+  const std::string which = f.text("experiment");
+  const std::vector<ExperimentResult> results =
+      which == "all" ? ExperimentSuite::run_all()
+                     : std::vector{ExperimentSuite::run(which)};
   ExperimentSuite::print_report(results, os);
   for (const auto& r : results) {
     if (!r.all_passed()) return 1;
@@ -712,90 +603,48 @@ int cmd_reproduce(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int cmd_inject(const CliArgs& args, std::ostream& os) {
-  if (args.has("help")) {
-    os << "usage: hpmm inject --algorithm=<name> --n=<order> --p=<procs> "
-          "[scenario flags]\n"
-          "simulate one multiplication on a faulty virtual machine, verify "
-          "the product\nand report the resilience overhead.\n"
-          "scenario flags:\n"
-          "  --seed=<u64>        fault-plan seed; same seed => same faults "
-          "(default 1)\n"
-          "  --drop=<prob>       per-transmission message drop probability\n"
-          "  --dup=<prob>        duplicate-delivery probability\n"
-          "  --delay=<prob>      delayed-delivery probability\n"
-          "  --delay-factor=<x>  extra latency of a delayed message, in "
-          "message times (default 1)\n"
-          "  --corrupt=<prob>    in-flight single-bit payload corruption "
-          "probability\n"
-          "  --abft=off|detect|correct\n"
-          "                      checksum-guard blocks in transit "
-          "(Huang-Abraham row/column sums)\n"
-          "  --stragglers=pid:factor[,pid:factor...]\n"
-          "                      slow those processors' compute by the "
-          "factor\n"
-          "  --failstop=pid:time[,pid:time...]\n"
-          "                      fail-stop a processor at a virtual time; "
-          "the run re-plans onto\n"
-          "                      the largest feasible surviving "
-          "configuration instead of aborting\n"
-          "  --reliable=0|1      ack/timeout/retransmit protocol (default "
-          "1; 0 makes drops fatal)\n"
-          "  --retries=<k> --rto=<x> --backoff=<x>\n"
-          "                      retransmission budget, timeout in message "
-          "times, backoff factor\n"
-          "  --data-seed=<u64>   seed for the random input matrices\n"
-          "machine selection: --machine=ncube2|future|cm2|cm5|ideal or "
-          "--ts=.. --tw=..\n"
-          "local compute: --kernel=<name> --threads=<n> (host wall-clock "
-          "only)\n";
-    return 0;
-  }
-  const std::string algorithm = args.get("algorithm", "cannon");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 64));
-  const auto p = static_cast<std::size_t>(args.get_int("p", 16));
+int cmd_inject(const Flags& f, std::ostream& os) {
+  const std::string algorithm = f.text("algorithm");
+  const std::size_t n = f.size("n");
+  const std::size_t p = f.size("p");
   const auto& reg = default_registry();
   require(reg.contains(algorithm),
           "inject: unknown algorithm '" + algorithm + "'");
 
   auto plan = std::make_shared<FaultPlan>();
-  plan->seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  plan->drop_prob = args.get_double("drop", 0.0);
-  plan->duplicate_prob = args.get_double("dup", 0.0);
-  plan->delay_prob = args.get_double("delay", 0.0);
-  plan->delay_factor = args.get_double("delay-factor", 1.0);
-  plan->corrupt_prob = args.get_double("corrupt", 0.0);
-  plan->abft = abft_from_args(args);
-  plan->reliable = args.get_bool("reliable", true);
-  plan->rto_factor = args.get_double("rto", 2.0);
-  plan->rto_backoff = args.get_double("backoff", 2.0);
-  plan->max_retries = static_cast<std::uint32_t>(args.get_int("retries", 12));
+  plan->seed = f.size("seed");
+  plan->drop_prob = f.number("drop");
+  plan->duplicate_prob = f.number("dup");
+  plan->delay_prob = f.number("delay");
+  plan->delay_factor = f.number("delay-factor");
+  plan->corrupt_prob = f.number("corrupt");
+  const std::string abft = f.text("abft");
+  if (abft == "detect") plan->abft = AbftMode::kDetect;
+  if (abft == "correct") plan->abft = AbftMode::kCorrect;
+  plan->reliable = f.boolean("reliable");
+  plan->rto_factor = f.number("rto");
+  plan->rto_backoff = f.number("backoff");
+  plan->max_retries = static_cast<std::uint32_t>(f.size("retries"));
   for (const auto& [pid, factor] :
-       parse_pid_values(args.get("stragglers", ""), "inject: --stragglers")) {
+       parse_pid_values(f.text("stragglers"), "inject: --stragglers")) {
     plan->stragglers.push_back({pid, factor});
   }
   for (const auto& [pid, time] :
-       parse_pid_values(args.get("failstop", ""), "inject: --failstop")) {
+       parse_pid_values(f.text("failstop"), "inject: --failstop")) {
     plan->failstops.push_back({pid, time});
   }
 
-  MachineParams mp = machine_from_args(args);
+  MachineParams mp = machine_from_flags(f);
   mp.faults = plan;
 
   reg.implementation(algorithm).check_applicable(n, p);
-  Rng rng(static_cast<std::uint64_t>(args.get_int("data-seed", 42)));
+  Rng rng(f.size("data-seed"));
   const Matrix a = random_matrix(n, n, rng);
   const Matrix b = random_matrix(n, n, rng);
 
   const ResilientRun run = run_resilient(a, b, p, mp, algorithm);
 
-  const Matrix reference = multiply(a, b);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      max_err = std::max(max_err, std::abs(run.result.c(i, j) - reference(i, j)));
-    }
-  }
+  const double max_err = max_abs_diff(run.result.c, multiply(a, b));
   const bool ok = max_err <= product_tolerance(n);
 
   os << "inject: " << algorithm << " n=" << n << " p=" << p << " ("
@@ -821,202 +670,116 @@ int cmd_inject(const CliArgs& args, std::ostream& os) {
   return ok ? 0 : 1;
 }
 
-namespace {
-
-/// Strict non-negative integer flag for `serve`: rejects values below `min`
-/// before the cast to an unsigned type can silently wrap them.
-std::int64_t serve_int_flag(const CliArgs& args, const std::string& key,
-                            std::int64_t fallback, std::int64_t min) {
-  const std::int64_t v = args.get_int(key, fallback);
-  require(v >= min, "serve: --" + key + " must be >= " + std::to_string(min) +
-                        ", got " + std::to_string(v));
-  return v;
-}
-
-}  // namespace
-
-int cmd_serve(const CliArgs& args, std::ostream& os) {
-  if (args.has("help")) {
-    os << "usage: hpmm serve [stream flags] [envelope flags] "
-          "[--format=aligned|csv|markdown|json] [--out=FILE]\n"
-          "replay a multi-tenant request stream through the robustness "
-          "envelope\n(admission control, circuit breakers, deadlines, "
-          "seeded backoff retries,\nplan cache) and print the per-tenant "
-          "report. Deterministic: the same\nstream, seed and options give a "
-          "byte-identical report for any --threads.\n"
-          "request stream (pick one):\n"
-          "  --script=FILE       scripted stream (one 'request key=value "
-          "...' per line)\n"
-          "  --scenario=noisy-neighbor|thundering-herd|straggler-storm\n"
-          "                      built-in chaos scenario (--healthy, "
-          "--noisy, --gap,\n"
-          "                      --corrupt, --noisy-faulty=0|1, "
-          "--max-slowdown)\n"
-          "  (default)           seeded generator: --requests=<k> "
-          "--tenants=<k>\n"
-          "                      --mean-gap=<t> --fault-fraction=<f> "
-          "--machine=<name>\n"
-          "envelope flags:\n"
-          "  --slots=<k>         concurrent service slots (default 4)\n"
-          "  --threads=<k>       host threads for speculative simulation "
-          "(default 1)\n"
-          "  --queue=<k>         server-wide admission queue bound (default "
-          "16)\n"
-          "  --quota=<k>         per-tenant in-flight quota (default 8)\n"
-          "  --breaker-threshold=<k> --breaker-cooldown=<t>\n"
-          "                      consecutive failures that trip a tenant's "
-          "breaker,\n"
-          "                      virtual time before a half-open probe\n"
-          "  --retries=<k>       retry budget after detected-fault failures "
-          "(default 2)\n"
-          "  --backoff-base=<t> --backoff-factor=<x> --backoff-jitter=<f>\n"
-          "                      exponential backoff schedule for retries\n"
-          "  --deadline-factor=<x>\n"
-          "                      abort a request past x times its model-"
-          "predicted T_p\n"
-          "  --seed=<u64>        workload + retry-jitter seed (default 1)\n"
-          "  --cache=<k>         plan cache capacity (default 64)\n"
-          "  --log=0|1           keep per-request records in the JSON "
-          "report (default 1)\n"
-          "observability (DESIGN.md 13):\n"
-          "  --journal=FILE      write the decision journal (JSONL, one "
-          "event per line)\n"
-          "  --timeline=FILE     write a Chrome-trace/Perfetto timeline "
-          "(slot + tenant lanes)\n"
-          "  --window=<t>        virtual-time window of the per-tenant "
-          "series (default 50000)\n"
-          "  --slo-p99=<t> --slo-availability=<f>\n"
-          "                      default per-tenant objectives (script "
-          "'slo' lines override)\n"
-          "  --slo-strict        exit 3 when any tenant's objective is "
-          "breached\n"
-          "  --metrics-out=FILE  write the final metrics registry "
-          "(.prom = Prometheus text\n"
-          "                      exposition, .json = OTLP-style JSON)\n"
-          "  --metrics-every=<t> stream virtual-time-stamped snapshots "
-          "into --metrics-out\n"
-          "                      (byte-identical for every --threads)\n";
-    return 0;
-  }
-
-  // Request stream: script file, named chaos scenario, or seeded generator.
-  const std::string script = args.get("script", "");
-  const std::string scenario = args.get("scenario", "");
+/// The request stream: a script file, a named chaos scenario, or the seeded
+/// generator. Scenario knobs left unset keep that scenario's own default.
+std::vector<TenantRequest> serve_requests(const Flags& f, SloTargets& slos) {
+  const std::string script = f.text("script");
+  const std::string scenario = f.text("scenario");
   require(script.empty() || scenario.empty(),
           "serve: --script and --scenario are mutually exclusive");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  std::vector<TenantRequest> requests;
-  SloTargets slos;
+  const auto set = [&f](const char* name, auto& field) {
+    if (!f.has(name)) return;
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, double>) {
+      field = f.number(name);
+    } else if constexpr (std::is_same_v<T, bool>) {
+      field = f.boolean(name);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      field = f.text(name);
+    } else {
+      field = static_cast<T>(f.size(name));
+    }
+  };
   if (!script.empty()) {
     std::ifstream in(script);
     require(in.good(), "serve: cannot open --script file '" + script + "'");
     ServeWorkload workload = parse_serve_workload(in);
-    requests = std::move(workload.requests);
     slos = std::move(workload.slos);
-  } else if (scenario == "noisy-neighbor") {
-    NoisyNeighborOptions o;
-    o.healthy_requests = static_cast<std::size_t>(serve_int_flag(
-        args, "healthy", static_cast<std::int64_t>(o.healthy_requests), 0));
-    o.noisy_requests = static_cast<std::size_t>(serve_int_flag(
-        args, "noisy", static_cast<std::int64_t>(o.noisy_requests), 0));
-    o.gap = args.get_double("gap", o.gap);
-    o.corrupt_prob = args.get_double("corrupt", o.corrupt_prob);
-    o.seed = seed;
-    o.machine = args.get("machine", o.machine);
-    o.noisy_faulty = args.get_bool("noisy-faulty", true);
-    requests = noisy_neighbor_scenario(o);
-  } else if (scenario == "thundering-herd") {
-    ThunderingHerdOptions o;
-    o.requests = static_cast<std::size_t>(serve_int_flag(
-        args, "requests", static_cast<std::int64_t>(o.requests), 0));
-    o.tenants = static_cast<std::size_t>(serve_int_flag(
-        args, "tenants", static_cast<std::int64_t>(o.tenants), 1));
-    o.machine = args.get("machine", o.machine);
-    requests = thundering_herd_scenario(o);
-  } else if (scenario == "straggler-storm") {
-    StragglerStormOptions o;
-    o.requests = static_cast<std::size_t>(serve_int_flag(
-        args, "requests", static_cast<std::int64_t>(o.requests), 1));
-    o.gap = args.get_double("gap", o.gap);
-    o.max_slowdown = args.get_double("max-slowdown", o.max_slowdown);
-    o.seed = seed;
-    o.machine = args.get("machine", o.machine);
-    requests = straggler_storm_scenario(o);
-  } else {
-    require(scenario.empty(),
-            "serve: unknown --scenario '" + scenario +
-                "' (try noisy-neighbor, thundering-herd, straggler-storm)");
-    WorkloadOptions o;
-    o.requests = static_cast<std::size_t>(serve_int_flag(
-        args, "requests", static_cast<std::int64_t>(o.requests), 0));
-    o.tenants = static_cast<std::size_t>(serve_int_flag(
-        args, "tenants", static_cast<std::int64_t>(o.tenants), 1));
-    o.seed = seed;
-    o.mean_gap = args.get_double("mean-gap", o.mean_gap);
-    o.fault_fraction = args.get_double("fault-fraction", o.fault_fraction);
-    o.machine = args.get("machine", o.machine);
-    requests = generate_workload(o);
+    return std::move(workload.requests);
   }
+  if (scenario == "noisy-neighbor") {
+    NoisyNeighborOptions o;
+    set("healthy", o.healthy_requests);
+    set("noisy", o.noisy_requests);
+    set("gap", o.gap);
+    set("corrupt", o.corrupt_prob);
+    set("seed", o.seed);
+    set("machine", o.machine);
+    set("noisy-faulty", o.noisy_faulty);
+    return noisy_neighbor_scenario(o);
+  }
+  if (scenario == "thundering-herd") {
+    ThunderingHerdOptions o;
+    set("requests", o.requests);
+    set("tenants", o.tenants);
+    set("machine", o.machine);
+    return thundering_herd_scenario(o);
+  }
+  if (scenario == "straggler-storm") {
+    StragglerStormOptions o;
+    set("requests", o.requests);
+    set("gap", o.gap);
+    set("max-slowdown", o.max_slowdown);
+    set("seed", o.seed);
+    set("machine", o.machine);
+    return straggler_storm_scenario(o);
+  }
+  WorkloadOptions o;
+  set("requests", o.requests);
+  set("tenants", o.tenants);
+  set("seed", o.seed);
+  set("mean-gap", o.mean_gap);
+  set("fault-fraction", o.fault_fraction);
+  set("machine", o.machine);
+  return generate_workload(o);
+}
+
+int cmd_serve(const Flags& f, std::ostream& os) {
+  SloTargets slos;
+  std::vector<TenantRequest> requests = serve_requests(f, slos);
 
   ServeOptions opt;
-  opt.slots = static_cast<std::size_t>(serve_int_flag(args, "slots", 4, 1));
-  opt.threads =
-      static_cast<unsigned>(serve_int_flag(args, "threads", 1, 1));
-  opt.queue_capacity =
-      static_cast<std::size_t>(serve_int_flag(args, "queue", 16, 1));
-  opt.tenant_quota =
-      static_cast<std::size_t>(serve_int_flag(args, "quota", 8, 1));
-  opt.breaker_threshold = static_cast<unsigned>(
-      serve_int_flag(args, "breaker-threshold", 3, 1));
-  opt.breaker_cooldown = args.get_double("breaker-cooldown", 50000.0);
-  opt.max_retries =
-      static_cast<unsigned>(serve_int_flag(args, "retries", 2, 0));
-  opt.backoff_base = args.get_double("backoff-base", 500.0);
-  opt.backoff_factor = args.get_double("backoff-factor", 2.0);
-  opt.backoff_jitter = args.get_double("backoff-jitter", 0.5);
-  opt.deadline_factor = args.get_double("deadline-factor", 0.0);
-  opt.seed = seed;
-  opt.plan_cache_capacity =
-      static_cast<std::size_t>(serve_int_flag(args, "cache", 64, 0));
-  opt.keep_request_log = args.get_bool("log", true);
-  opt.window = args.get_double("window", 50000.0);
-  opt.metrics_every = args.get_double("metrics-every", 0.0);
-  require(opt.metrics_every >= 0.0, "serve: --metrics-every must be >= 0");
-  require(opt.metrics_every == 0.0 || args.has("metrics-out"),
+  opt.slots = f.size("slots");
+  opt.threads = static_cast<unsigned>(f.size("threads"));
+  opt.queue_capacity = f.size("queue");
+  opt.tenant_quota = f.size("quota");
+  opt.breaker_threshold = static_cast<unsigned>(f.size("breaker-threshold"));
+  opt.breaker_cooldown = f.number("breaker-cooldown");
+  opt.max_retries = static_cast<unsigned>(f.size("retries"));
+  opt.backoff_base = f.number("backoff-base");
+  opt.backoff_factor = f.number("backoff-factor");
+  opt.backoff_jitter = f.number("backoff-jitter");
+  opt.deadline_factor = f.number("deadline-factor");
+  opt.seed = f.size("seed");
+  opt.plan_cache_capacity = f.size("cache");
+  opt.keep_request_log = f.boolean("log");
+  opt.window = f.number("window");
+  opt.metrics_every = f.number("metrics-every");
+  require(opt.metrics_every == 0.0 || f.has("metrics-out"),
           "serve: --metrics-every streams snapshots into --metrics-out, "
           "which is missing");
   // The CLI objectives become the "*" default; script `slo` lines keep
   // their per-tenant precedence over it.
-  if (args.has("slo-p99")) slos["*"].p99 = args.get_double("slo-p99", 0.0);
-  if (args.has("slo-availability")) {
-    slos["*"].availability = args.get_double("slo-availability", 0.0);
+  if (f.has("slo-p99")) slos["*"].p99 = f.number("slo-p99");
+  if (f.has("slo-availability")) {
+    slos["*"].availability = f.number("slo-availability");
   }
   opt.slos = std::move(slos);
 
   const Server server(opt);
   const ServeReport report = server.run(std::move(requests));
 
-  const auto write_file = [](const std::string& flag, const std::string& path,
-                             const std::function<void(std::ostream&)>& writer) {
-    std::ofstream file(path);
-    require(file.good(),
-            "serve: cannot open --" + flag + " file '" + path + "'");
-    writer(file);
-    file.flush();
-    require(file.good(), "serve: writing --" + flag + " file '" + path +
-                             "' failed (disk full or device error?)");
-  };
-  const std::string journal_path = args.get("journal", "");
+  const std::string journal_path = f.text("journal");
   if (!journal_path.empty()) {
-    write_file("journal", journal_path, [&report](std::ostream& s) {
+    write_file("serve", "journal", journal_path, [&report](std::ostream& s) {
       report.journal.write_jsonl(s);
     });
     os << "wrote journal (" << report.journal.size() << " events) to "
        << journal_path << "\n";
   }
-  const std::string timeline_path = args.get("timeline", "");
+  const std::string timeline_path = f.text("timeline");
   if (!timeline_path.empty()) {
-    write_file("timeline", timeline_path, [&report](std::ostream& s) {
+    write_file("serve", "timeline", timeline_path, [&report](std::ostream& s) {
       write_serve_timeline(s, report.journal, report.options.slots);
     });
     os << "wrote timeline to " << timeline_path << "\n";
@@ -1025,7 +788,7 @@ int cmd_serve(const CliArgs& args, std::ostream& os) {
   // virtual-time-stamped snapshot stream the serial event loop captured
   // (byte-identical for every --threads; docs/observability.md).
   write_metrics_out(
-      args, os, "serve",
+      f, os, "serve",
       [&report](std::ostream& s, MetricsExportFormat format) {
         if (report.metric_snapshots.empty()) {
           write_metrics(report.metrics, format, s);
@@ -1050,18 +813,16 @@ int cmd_serve(const CliArgs& args, std::ostream& os) {
         s << "]}";
       });
 
-  if (args.get("format", "aligned") == "json") {
-    write_output(args, os, "serve", "serve report", [&report](std::ostream& s) {
+  write_output(f, os, "serve", "serve report", [&](std::ostream& s) {
+    if (f.text("format") == "json") {
       report.write_json(s);
       s << "\n";
-    });
-  } else {
-    write_output(args, os, "serve", "serve report", [&](std::ostream& s) {
-      print_table(args, report.tenant_table(), s);
+    } else {
+      print_table(f, report.tenant_table(), s);
       s << report.summary() << "\n";
-    });
-  }
-  if (args.get_bool("slo-strict", false) && report.slo_breached()) {
+    }
+  });
+  if (f.boolean("slo-strict") && report.slo_breached()) {
     os << "serve: SLO breached:";
     for (const auto& v : report.slo) {
       if (v.breached()) os << " " << v.tenant;
@@ -1072,81 +833,284 @@ int cmd_serve(const CliArgs& args, std::ostream& os) {
   return 0;
 }
 
-int dispatch(const CliArgs& args, std::ostream& os, std::ostream& err) {
-  const auto usage = [&err]() {
-    err << "usage: hpmm <command> [--options]\n"
-           "  list       registered formulations and applicability\n"
-           "  machines   named machine parameter sets\n"
-           "  select     pick the best formulation for --n, --p\n"
-           "  run        simulate one multiplication (--algorithm, --n, --p)\n"
-           "  iso        isoefficiency curve (--algorithm, --efficiency)\n"
-           "  regions    ASCII best-algorithm map (Figures 1-3; --with-25d=1 "
-           "adds the 2.5D regions,\n"
-           "             --with-bounds=1 upper-cases communication-optimal "
-           "cells)\n"
-           "  bounds     communication lower bounds, strong-scaling ranges "
-           "and\n"
-           "             distance-from-optimal (--algo, --n, --p, --memory, "
-           "--measured=1)\n"
-           "  crossover  equal-overhead curve for a pair (--a, --b)\n"
-           "  trace      simulate with tracing, print the Gantt chart\n"
-           "             (--format=chrome [--out=FILE] writes trace-event "
-           "JSON)\n"
-           "  profile    per-phase time/traffic breakdown and overhead "
-           "reconciliation\n"
-           "  reproduce  check the paper's claims against this build\n"
-           "  inject     simulate under injected faults (see inject --help)\n"
-           "  serve      multi-tenant serving mode: deadlines, retries, "
-           "admission\n"
-           "             control, chaos scenarios (see serve --help)\n"
-           "machine selection: --machine=ncube2|future|cm2|cm5|ideal or "
-           "--ts=.. --tw=..\n"
-           "cannon25d: --c=<replication factor> (power of two, default 2)\n"
-           "local compute: --kernel=naive-ijk|cache-ikj|blocked|transposed-b|"
-           "packed --threads=N\n"
-           "               (host wall-clock only; simulated times are "
-           "unaffected)\n"
-           "output: --format=aligned|csv|markdown|json (run/serve "
-           "--format=json print the full report)\n"
-           "        --out=FILE (run --format=json, trace --format=chrome, "
-           "profile, serve)\n"
-           "observability: --causal=1 (span DAG + measured critical path; "
-           "profile prints the\n"
-           "               reconciliation), --metrics-out=FILE[.prom|.json] "
-           "(run, serve),\n"
-           "               serve --metrics-every=T (snapshot stream; see "
-           "docs/observability.md)\n";
-    return 2;
-  };
-  if (args.positionals().empty()) return usage();
-  const std::string& cmd = args.positionals().front();
-  try {
-    // --with-bounds is a regions-only overlay; anywhere else it would be
-    // silently ignored, which an oracle flag must never be.
-    require(!args.has("with-bounds") || cmd == "regions",
-            "--with-bounds: only the regions command draws the "
-            "communication-optimality overlay");
-    if (cmd == "list") return cmd_list(args, os);
-    if (cmd == "machines") return cmd_machines(args, os);
-    if (cmd == "select") return cmd_select(args, os);
-    if (cmd == "run") return cmd_run(args, os);
-    if (cmd == "iso") return cmd_iso(args, os);
-    if (cmd == "regions") return cmd_regions(args, os);
-    if (cmd == "bounds") return cmd_bounds(args, os);
-    if (cmd == "crossover") return cmd_crossover(args, os);
-    if (cmd == "trace") return cmd_trace(args, os);
-    if (cmd == "profile") return cmd_profile(args, os);
-    if (cmd == "reproduce") return cmd_reproduce(args, os);
-    if (cmd == "inject") return cmd_inject(args, os);
-    if (cmd == "serve") return cmd_serve(args, os);
-  } catch (const PreconditionError& e) {
-    err << "error: " << e.what() << "\n";
-    return 1;
-  } catch (const InternalError& e) {
-    err << "internal error (please report): " << e.what() << "\n";
-    return 2;
+// ---- flag tables -----------------------------------------------------------
+
+Flag format_flag() {
+  return choice_flag("format", "aligned", "aligned|csv|markdown|json",
+                     "table format");
+}
+Flag algorithm_flag(const char* fallback) {
+  return text_flag("algorithm", fallback, "registry name (hpmm list)", "NAME");
+}
+Flag order_flag(const char* fallback) {
+  return int_flag("n", fallback, "matrix order", 1);
+}
+Flag procs_flag(const char* fallback) {
+  return int_flag("p", fallback, "processor count", 1);
+}
+Flag seed_flag(const char* name, std::string fallback, const char* help) {
+  return int_flag(name, fallback, help, 0);
+}
+Flag c_flag() {
+  return int_flag("c", "", "cannon25d replication factor (power of two)", 1);
+}
+Flag prob_flag(const char* name, std::string fallback, const char* help) {
+  return num_flag(name, fallback, help, 0, 1);
+}
+Flag cells_flag(const char* name, const char* fallback, const char* help) {
+  return int_flag(name, fallback, help, 2, 1000);
+}
+Flag file_flag(const char* name, const char* help) {
+  return text_flag(name, "", help, "FILE");
+}
+
+/// A default taken from the library, as typed on the command line (exactly:
+/// json_number round-trips doubles).
+template <class T>
+std::string typed(T value) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    return json_number(value);
   }
-  return usage();
+}
+
+/// The command table: every subcommand and the flags it declares.
+std::vector<Command> build_commands() {
+  const FlagTable& machine = machine_flags();
+  const FlagTable& output = output_flags();
+  const Flag operand_seed = seed_flag("seed", "42", "seed of the operands");
+  std::string experiments = "all";
+  for (const std::string& id : ExperimentSuite::ids()) experiments += "|" + id;
+  const ServeOptions serve;
+  return {
+      {"list", "registered formulations and applicability", {format_flag()},
+       cmd_list},
+      {"machines", "named machine parameter sets", {format_flag()},
+       cmd_machines},
+      {"select", "pick the best formulation for --n, --p",
+       join({{order_flag(""), procs_flag(""),
+              bool_flag("simulatable", "1",
+                        "0 ranks by model applicability alone"),
+              format_flag()},
+             machine}),
+       cmd_select},
+      {"run", "simulate one multiplication (--algorithm, --n, --p)",
+       join({{algorithm_flag("gk"), order_flag("64"), procs_flag("64"),
+              c_flag(), operand_seed,
+              file_flag("metrics-out", "metrics registry (.prom or .json)")},
+             machine, output}),
+       cmd_run},
+      {"iso", "isoefficiency curve (--algorithm, --efficiency)",
+       join({{algorithm_flag("gk"), c_flag(),
+              num_flag("efficiency", "0.7", "target efficiency", 0, 1),
+              num_flag("pmin", "8", "smallest p", 1),
+              num_flag("pmax", "1e9", "largest p", 1), format_flag()},
+             machine}),
+       cmd_iso},
+      {"regions", "best-algorithm map (Figures 1-3; --with-25d, --with-bounds)",
+       join({{num_flag("pmin", "1", "smallest p", 1),
+              num_flag("pmax", "1e9", "largest p", 1),
+              cells_flag("pcells", "72", "map columns"),
+              num_flag("nmin", "1", "smallest n", 1),
+              num_flag("nmax", "1e5", "largest n", 1),
+              cells_flag("ncells", "36", "map rows"),
+              bool_flag("with-25d", "0", "add the 2.5D envelope as 'e'"),
+              bool_flag("with-bounds", "0", "upper-case comm-optimal cells"),
+              num_flag("n", "", "with --p: (t_s, t_w) map at this n", 1),
+              num_flag("p", "", "with --n: (t_s, t_w) map at this p", 1),
+              num_flag("tsmin", "0.1", "dual view: smallest t_s", 0),
+              num_flag("tsmax", "1000", "dual view: largest t_s", 0),
+              cells_flag("tscells", "72", "dual view: columns"),
+              num_flag("twmin", "0.2", "dual view: smallest t_w", 0),
+              num_flag("twmax", "30", "dual view: largest t_w", 0),
+              cells_flag("twcells", "24", "dual view: rows")},
+             machine}),
+       cmd_regions},
+      {"bounds", "communication lower bounds and distance from optimal",
+       join({{text_flag("algo", "all", "registry name, or all", "NAME"),
+              order_flag("64"), procs_flag("64"),
+              num_flag("memory", "1048576", "words per processor", 1),
+              bool_flag("measured", "0", "simulate; add measured words"),
+              operand_seed, c_flag(), format_flag()},
+             machine}),
+       cmd_bounds},
+      {"crossover", "equal-overhead curve for a pair (--a, --b)",
+       join({{text_flag("a", "gk", "first registry name", "NAME"),
+              text_flag("b", "cannon", "second registry name", "NAME"),
+              c_flag(), num_flag("pmin", "4", "smallest p", 1),
+              num_flag("pmax", "1e9", "largest p", 1), format_flag()},
+             machine}),
+       cmd_crossover},
+      {"trace", "simulate with tracing: Gantt chart or Chrome trace JSON",
+       join({{algorithm_flag("gk"), order_flag("16"), procs_flag("8"),
+              c_flag(), seed_flag("seed", "5", "seed of the operands"),
+              choice_flag("format", "gantt", "gantt|chrome", "output"),
+              file_flag("out", "write the chrome trace to FILE"),
+              int_flag("width", "72", "Gantt columns", 8, 1000),
+              int_flag("procs", "16", "processors in the Gantt chart", 0)},
+             machine}),
+       cmd_trace},
+      {"profile", "per-phase breakdown and overhead reconciliation",
+       join({{algorithm_flag("cannon"), order_flag("64"), procs_flag("16"),
+              c_flag(), operand_seed,
+              prob_flag("drop", "0", "message drop probability"),
+              text_flag("stragglers", "", "slow these processors",
+                        "PID:FACTOR,..."),
+              seed_flag("fault-seed", "1", "seed of the fault plan")},
+             machine, output}),
+       cmd_profile},
+      {"reproduce", "check the paper's claims against this build",
+       {choice_flag("experiment", "all", experiments, "claims to check")},
+       cmd_reproduce},
+      {"inject", "simulate under injected faults, verify the product",
+       join({{algorithm_flag("cannon"), order_flag("64"), procs_flag("16"),
+              seed_flag("seed", "1", "fault-plan seed"),
+              prob_flag("drop", "0", "message drop probability"),
+              prob_flag("dup", "0", "duplicate-delivery probability"),
+              prob_flag("delay", "0", "delayed-delivery probability"),
+              num_flag("delay-factor", "1", "delay, in message times", 0),
+              prob_flag("corrupt", "0", "single-bit corruption probability"),
+              choice_flag("abft", "off", "off|detect|correct",
+                          "checksum-guard blocks in transit"),
+              text_flag("stragglers", "", "slow these processors",
+                        "PID:FACTOR,..."),
+              text_flag("failstop", "", "fail-stop, then re-plan",
+                        "PID:TIME,..."),
+              bool_flag("reliable", "1", "ack/timeout/retransmit"),
+              int_flag("retries", "12", "retransmission budget", 0),
+              num_flag("rto", "2", "timeout, in message times", 0),
+              num_flag("backoff", "2", "timeout backoff factor", 0),
+              seed_flag("data-seed", "42", "seed of the operands")},
+             machine}),
+       cmd_inject},
+      {"serve", "multi-tenant serving: admission, retries, chaos scenarios",
+       join({{file_flag("script", "scripted request stream"),
+              choice_flag("scenario", "",
+                          "noisy-neighbor|thundering-herd|straggler-storm",
+                          "built-in chaos scenario"),
+              int_flag("requests", "", "requests to generate", 0),
+              int_flag("tenants", "", "tenants to generate", 1),
+              num_flag("mean-gap", "", "generator: mean arrival gap"),
+              prob_flag("fault-fraction", "", "generator: faulty fraction"),
+              choice_flag("machine", "", machines::preset_names("|"),
+                          "machine of generated requests"),
+              int_flag("healthy", "", "noisy-neighbor: healthy requests", 0),
+              int_flag("noisy", "", "noisy-neighbor: noisy requests", 0),
+              num_flag("gap", "", "scenario arrival gap"),
+              prob_flag("corrupt", "", "noisy-neighbor: corruption"),
+              bool_flag("noisy-faulty", "1", "noisy-neighbor: inject faults"),
+              num_flag("max-slowdown", "", "straggler-storm: worst factor"),
+              seed_flag("seed", typed(serve.seed), "workload seed"),
+              int_flag("slots", typed(serve.slots), "service slots", 1),
+              int_flag("threads", typed(serve.threads), "host threads", 1,
+                       1024),
+              int_flag("queue", typed(serve.queue_capacity), "queue bound", 1),
+              int_flag("quota", typed(serve.tenant_quota), "tenant quota", 1),
+              int_flag("breaker-threshold", typed(serve.breaker_threshold),
+                       "failures that trip a breaker", 1),
+              num_flag("breaker-cooldown", typed(serve.breaker_cooldown),
+                       "time before a half-open probe", 0),
+              int_flag("retries", typed(serve.max_retries), "retry budget", 0),
+              num_flag("backoff-base", typed(serve.backoff_base),
+                       "first retry delay", 0),
+              num_flag("backoff-factor", typed(serve.backoff_factor),
+                       "retry delay growth", 0),
+              prob_flag("backoff-jitter", typed(serve.backoff_jitter),
+                        "randomized fraction of a delay"),
+              num_flag("deadline-factor", typed(serve.deadline_factor),
+                       "deadline as a multiple of predicted T_p", 0),
+              int_flag("cache", typed(serve.plan_cache_capacity),
+                       "plan cache capacity", 0),
+              bool_flag("log", serve.keep_request_log ? "1" : "0",
+                        "keep per-request records"),
+              file_flag("journal", "decision journal (JSONL)"),
+              file_flag("timeline", "Chrome-trace timeline"),
+              num_flag("window", typed(serve.window), "series window"),
+              num_flag("slo-p99", "", "default p99 latency objective"),
+              num_flag("slo-availability", "", "default success objective"),
+              bool_flag("slo-strict", "0", "exit 3 on a breached objective"),
+              file_flag("metrics-out", "metrics registry (.prom or .json)"),
+              num_flag("metrics-every", typed(serve.metrics_every),
+                       "snapshot period into --metrics-out", 0)},
+             output}),
+       cmd_serve},
+  };
+}
+
+}  // namespace
+
+const FlagTable& machine_flags() {
+  static const FlagTable kFlags = [] {
+    const MachineParams base = machines::ncube2();
+    std::string kernels;
+    for (Kernel k : kAllKernels) {
+      kernels += (kernels.empty() ? "" : "|") + to_string(k);
+    }
+    return FlagTable{
+        choice_flag("machine", "", machines::preset_names("|"),
+                    "preset (hpmm machines); else --ts/--tw, or ncube2"),
+        num_flag("ts", typed(base.t_s), "startup time t_s", 0),
+        num_flag("tw", typed(base.t_w), "per-word time t_w", 0),
+        choice_flag("kernel", to_string(ExecPolicy{}.kernel), kernels,
+                    "local kernel (host wall-clock only)"),
+        int_flag("threads", typed(ExecPolicy{}.threads),
+                 "host threads (host wall-clock only)", 1, 1024),
+        choice_flag("metrics", "full", "full|aggregate", "capture level"),
+        choice_flag("traffic", "auto", "auto|on|off",
+                    "traffic matrix; auto = p <= " +
+                        typed(MachineParams::kTrafficAutoThreshold)),
+        prob_flag("trace-sample", "1", "fraction of processors traced"),
+        seed_flag("trace-seed", "0", "seed of the trace sampling"),
+        bool_flag("causal", "0", "record the span DAG")};
+  }();
+  return kFlags;
+}
+
+const FlagTable& output_flags() {
+  static const FlagTable kFlags = {
+      format_flag(), file_flag("out", "write the report to FILE")};
+  return kFlags;
+}
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> kCommands = build_commands();
+  return kCommands;
+}
+
+MachineParams machine_from_args(const CliArgs& args) {
+  return machine_from_flags(Flags(args, machine_flags()));
+}
+
+int dispatch(const CliArgs& args, std::ostream& os, std::ostream& err) {
+  const std::string cmd =
+      args.positionals().empty() ? "" : args.positionals().front();
+  for (const Command& c : commands()) {
+    if (c.name != cmd) continue;
+    try {
+      if (args.has("help")) {
+        os << "usage: hpmm " << c.name << " [--flag=value ...]\n"
+           << c.summary << "\n";
+        print_flag_help(c.flags, os);
+        return 0;
+      }
+      reject_undeclared(args, c.flags, c.name);
+      return c.run(Flags(args, c.flags), os);
+    } catch (const PreconditionError& e) {
+      err << "error: " << e.what() << "\n";
+      return 1;
+    } catch (const InternalError& e) {
+      err << "internal error (please report): " << e.what() << "\n";
+      return 2;
+    }
+  }
+  err << "usage: hpmm <command> [--flag=value ...]\n";
+  for (const Command& c : commands()) {
+    err << "  " << c.name << std::string(11 - c.name.size(), ' ') << c.summary
+        << "\n";
+  }
+  err << "hpmm <command> --help lists its flags (docs/cli.md)\n";
+  return 2;
 }
 
 }  // namespace hpmm::tools

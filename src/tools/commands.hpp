@@ -1,88 +1,48 @@
 #pragma once
 
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "machine/params.hpp"
+#include "tools/flags.hpp"
 #include "util/cli.hpp"
 
 namespace hpmm::tools {
 
-/// The `hpmm` command-line tool's subcommands, exposed as functions so they
-/// can be unit-tested without spawning processes. Each returns a process
-/// exit code and writes its report to `os`.
+/// One `hpmm` subcommand. Its flag table is the command's only declaration
+/// of its flags: dispatch() rejects any other flag, Flags applies the
+/// ranges and defaults, and `--help` prints the table. docs/cli.md lists
+/// the same flags per command, and a test keeps the two equal.
+struct Command {
+  std::string name;
+  std::string summary;  ///< usage line(s)
+  FlagTable flags;
+  int (*run)(const Flags& flags, std::ostream& os);  ///< exit code
+};
 
-/// `hpmm list` — every registered formulation with its range of
-/// applicability.
-int cmd_list(const CliArgs& args, std::ostream& os);
+/// Every subcommand, in usage order: list, machines, select, run, iso,
+/// regions, bounds, crossover, trace, profile, reproduce, inject, serve.
+/// docs/cli.md describes each.
+const std::vector<Command>& commands();
 
-/// `hpmm machines` — the named machine parameter sets.
-int cmd_machines(const CliArgs& args, std::ostream& os);
+/// The shared machine group: --machine, --ts, --tw, --kernel, --threads,
+/// --metrics, --traffic, --trace-sample, --trace-seed, --causal.
+const FlagTable& machine_flags();
 
-/// `hpmm select --n=.. --p=.. [--machine=..|--ts=..--tw=..]` — the Section
-/// 10 smart preprocessor: rank all formulations and pick the best.
-int cmd_select(const CliArgs& args, std::ostream& os);
+/// The shared output group: --format and --out.
+const FlagTable& output_flags();
 
-/// `hpmm run --algorithm=.. --n=.. --p=..` — simulate one multiplication
-/// end-to-end, verify the product, print the report.
-int cmd_run(const CliArgs& args, std::ostream& os);
-
-/// `hpmm iso --algorithm=.. --efficiency=..` — isoefficiency curve W(p).
-int cmd_iso(const CliArgs& args, std::ostream& os);
-
-/// `hpmm regions [--machine=..]` — ASCII best-algorithm map (Figures 1-3).
-int cmd_regions(const CliArgs& args, std::ostream& os);
-
-/// `hpmm bounds [--algo=all|<name>] [--n=..] [--p=..] [--memory=..]
-/// [--measured=1]` — the communication lower-bound scoreboard: per-algorithm
-/// memory-dependent and memory-independent word floors, the message-count
-/// floor, the perfect-strong-scaling range of the formulation's class at the
-/// given machine memory, and (with --measured=1) the simulated exact word
-/// count with its distance-from-optimal ratio.
-int cmd_bounds(const CliArgs& args, std::ostream& os);
-
-/// `hpmm crossover --a=gk --b=cannon --p=..` — equal-overhead order
-/// n_EqualTo(p) for a pair of formulations (Eq. 15 generalised).
-int cmd_crossover(const CliArgs& args, std::ostream& os);
-
-/// `hpmm trace --algorithm=.. --n=.. --p=..` — simulate with event tracing
-/// and print the per-processor Gantt chart; `--format=chrome [--out=FILE]`
-/// writes Chrome trace-event JSON instead (chrome://tracing, Perfetto).
-int cmd_trace(const CliArgs& args, std::ostream& os);
-
-/// `hpmm profile --algorithm=.. --n=.. --p=..` — simulate one
-/// multiplication and print the per-phase breakdown (compute/comm/idle
-/// maxima, traffic, critical-path slice) plus an overhead-reconciliation
-/// table mapping the measured critical-path terms onto the analytical
-/// model's t_s/t_w terms.
-int cmd_profile(const CliArgs& args, std::ostream& os);
-
-/// `hpmm reproduce [--experiment=fig4]` — run the executable experiment
-/// registry (paper claims vs measured, PASS/FAIL per claim). Exit code 1
-/// when any claim fails to reproduce.
-int cmd_reproduce(const CliArgs& args, std::ostream& os);
-
-/// `hpmm inject --algorithm=.. --n=.. --p=.. [scenario flags]` — simulate one
-/// multiplication on a faulty machine (message drops, duplicates, delays,
-/// bit corruption, stragglers, fail-stops) with reliable messaging and
-/// optional ABFT checksums, absorbing fail-stops by re-planning onto the
-/// surviving processors. `--help` lists the scenario flags.
-int cmd_inject(const CliArgs& args, std::ostream& os);
-
-/// `hpmm serve` — deterministic multi-tenant serving mode: replay a scripted
-/// (--script=FILE), generated (--requests, --tenants, --seed, ...) or chaos
-/// (--scenario=noisy-neighbor|thundering-herd|straggler-storm) request
-/// stream through the robustness envelope — admission control, per-tenant
-/// circuit breakers and quotas, deadlines, seeded backoff retries and the
-/// plan cache — and print the per-tenant report (--format=json for the full
-/// serve report, --out=FILE to write it to a file).
-int cmd_serve(const CliArgs& args, std::ostream& os);
-
-/// Dispatch on args.positionals()[0]; prints usage and returns 2 for an
-/// unknown or missing subcommand.
+/// Dispatch on args.positionals()[0]. `--help` prints the command's flags
+/// and returns 0. An undeclared flag, a value outside its type, range or
+/// choices, or any other PreconditionError prints `error: ...` to `err`
+/// and returns 1; an InternalError returns 2; an unknown or missing
+/// subcommand prints usage and returns 2.
 int dispatch(const CliArgs& args, std::ostream& os, std::ostream& err);
 
-/// Resolve --machine=<name> or --ts/--tw into MachineParams (ncube2,
-/// future, cm2, cm5, ideal; default nCUBE2-like).
+/// Resolve the machine group into MachineParams: --machine=<preset> or
+/// --ts/--tw (default nCUBE2-like), plus the execution and capture flags.
+/// Flags outside the group are ignored.
 MachineParams machine_from_args(const CliArgs& args);
 
 }  // namespace hpmm::tools

@@ -34,6 +34,13 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 
 bool CliArgs::has(const std::string& key) const { return values_.count(key) > 0; }
 
+std::vector<std::string> CliArgs::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [key, value] : values_) out.push_back(key);
+  return out;
+}
+
 std::string CliArgs::get(const std::string& key, const std::string& fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;
@@ -73,7 +80,11 @@ double CliArgs::get_double(const std::string& key, double fallback) const {
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  throw PreconditionError("--" + key + ": expected true/false, 1/0 or yes/no, "
+                          "got '" + text + "'");
 }
 
 }  // namespace hpmm

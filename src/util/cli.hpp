@@ -16,10 +16,15 @@ class CliArgs {
 
   bool has(const std::string& key) const;
 
+  /// Every --key given, in sorted order.
+  std::vector<std::string> keys() const;
+
   /// Value of --key=value, or `fallback` if absent.
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
+  /// true/1/yes or false/0/no (a bare --key reads as true); anything else
+  /// throws PreconditionError naming the flag.
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positionals() const noexcept {

@@ -7,6 +7,7 @@
 #include "algorithms/fox.hpp"
 #include "algorithms/gk.hpp"
 #include "algorithms/simple_2d.hpp"
+#include "core/registry.hpp"
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -149,14 +150,15 @@ TEST(Applicability, Cannon25DErrorsNameTheFlag) {
 }
 
 TEST(Applicability, EveryAlgorithmAcceptsSingleProcessorOrSaysWhy) {
-  for (const auto& alg : all_algorithms()) {
-    if (alg->name() == "dns") {
-      EXPECT_FALSE(alg->applicable(8, 1));  // DNS needs p >= n^2
-    } else if (alg->name() == "cannon25d") {
-      EXPECT_FALSE(alg->applicable(8, 1));  // replication needs p >= c^3 = 8
-      EXPECT_TRUE(alg->applicable(8, 8));
+  for (const auto& name : default_registry().selectable_names()) {
+    const ParallelMatmul& alg = default_registry().implementation(name);
+    if (name == "dns") {
+      EXPECT_FALSE(alg.applicable(8, 1));  // DNS needs p >= n^2
+    } else if (name == "cannon25d") {
+      EXPECT_FALSE(alg.applicable(8, 1));  // replication needs p >= c^3 = 8
+      EXPECT_TRUE(alg.applicable(8, 8));
     } else {
-      EXPECT_TRUE(alg->applicable(8, 1)) << alg->name();
+      EXPECT_TRUE(alg.applicable(8, 1)) << name;
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "algorithms/simple_2d.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/kernels.hpp"
+#include "core/registry.hpp"
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -161,17 +162,18 @@ TEST(Correctness, IdentityOperandAcrossAlgorithms) {
   const std::size_t n = 8;
   const Matrix a = index_matrix(n, n);
   const Matrix id = identity_matrix(n);
-  for (const auto& alg : all_algorithms()) {
+  for (const auto& name : default_registry().selectable_names()) {
+    const ParallelMatmul& alg = default_registry().implementation(name);
     std::size_t p = 0;
     for (std::size_t cand : {64u, 16u, 8u, 4u}) {
-      if (alg->applicable(n, cand)) {
+      if (alg.applicable(n, cand)) {
         p = cand;
         break;
       }
     }
-    ASSERT_NE(p, 0u) << alg->name();
-    const MatmulResult got = alg->run(a, id, p, test_params());
-    EXPECT_LE(max_abs_diff(got.c, a), 1e-12) << alg->name();
+    ASSERT_NE(p, 0u) << name;
+    const MatmulResult got = alg.run(a, id, p, test_params());
+    EXPECT_LE(max_abs_diff(got.c, a), 1e-12) << name;
   }
 }
 

@@ -8,6 +8,7 @@
 #include "algorithms/fox.hpp"
 #include "algorithms/gk.hpp"
 #include "algorithms/simple_2d.hpp"
+#include "core/registry.hpp"
 #include "matrix/generate.hpp"
 
 namespace hpmm {
@@ -205,12 +206,13 @@ TEST(Timing, OverheadNonNegativeEverywhere) {
   Rng rng(8);
   const Matrix a = random_matrix(16, 16, rng);
   const Matrix b = random_matrix(16, 16, rng);
-  for (const auto& alg : all_algorithms()) {
+  for (const auto& name : default_registry().selectable_names()) {
+    const ParallelMatmul& alg = default_registry().implementation(name);
     for (std::size_t p : {1u, 4u, 8u, 16u, 64u}) {
-      if (!alg->applicable(16, p)) continue;
-      const auto res = alg->run(a, b, p, test_params());
+      if (!alg.applicable(16, p)) continue;
+      const auto res = alg.run(a, b, p, test_params());
       EXPECT_GE(res.report.total_overhead(), -1e-9)
-          << alg->name() << " p=" << p;
+          << name << " p=" << p;
       EXPECT_LE(res.report.efficiency(), 1.0 + 1e-12);
     }
   }

@@ -13,6 +13,7 @@
 
 #include "analysis/perf_model.hpp"
 #include "analysis/region_map.hpp"
+#include "core/registry.hpp"
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -87,27 +88,19 @@ TEST(Bounds, RejectsDegenerateArguments) {
 // ---- classification table --------------------------------------------------
 
 TEST(Bounds, ClassificationCoversEveryFormulationFamily) {
+  // Each model declares its class; registry names resolve through their
+  // models, aliases included.
+  const auto& reg = default_registry();
+  const MachineParams mp;
   for (const char* name :
        {"simple", "simple-ring", "simple-allport", "cannon", "cannon-gray",
         "fox", "fox-pipe"}) {
-    EXPECT_EQ(bounds_class(name), BoundsClass::k2D) << name;
+    EXPECT_EQ(reg.model(name, mp)->bounds_class(), BoundsClass::k2D) << name;
   }
-  EXPECT_EQ(bounds_class("cannon25d"), BoundsClass::k25D);
+  EXPECT_EQ(reg.model("cannon25d", mp)->bounds_class(), BoundsClass::k25D);
   for (const char* name :
        {"berntsen", "dns", "gk", "gk-jh", "gk-fc", "gk-allport"}) {
-    EXPECT_EQ(bounds_class(name), BoundsClass::k3D) << name;
-  }
-}
-
-TEST(Bounds, UnknownNameThrowsWithInstruction) {
-  try {
-    bounds_class("hyper-systolic");
-    FAIL() << "expected PreconditionError";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("bounds classification"),
-              std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("hyper-systolic"), std::string::npos);
+    EXPECT_EQ(reg.model(name, mp)->bounds_class(), BoundsClass::k3D) << name;
   }
 }
 

@@ -134,11 +134,11 @@ TEST(Isoefficiency, HigherEfficiencyNeedsBiggerProblem) {
 }
 
 TEST(Isoefficiency, Table1AsymptoticExponents) {
-  EXPECT_DOUBLE_EQ(table1_asymptotic_exponent("berntsen"), 2.0);
-  EXPECT_DOUBLE_EQ(table1_asymptotic_exponent("cannon"), 1.5);
-  EXPECT_DOUBLE_EQ(table1_asymptotic_exponent("gk"), 1.0);
-  EXPECT_DOUBLE_EQ(table1_asymptotic_exponent("dns"), 1.0);
-  EXPECT_THROW(table1_asymptotic_exponent("nope"), PreconditionError);
+  const MachineParams mp = params(150, 3);
+  EXPECT_DOUBLE_EQ(BerntsenModel(mp).isoefficiency_exponent(), 2.0);
+  EXPECT_DOUBLE_EQ(CannonModel(mp).isoefficiency_exponent(), 1.5);
+  EXPECT_DOUBLE_EQ(GkModel(mp).isoefficiency_exponent(), 1.0);
+  EXPECT_DOUBLE_EQ(DnsModel(mp).isoefficiency_exponent(), 1.0);
 }
 
 TEST(Isoefficiency, FitHandlesUnreachablePoints) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+
+#include "core/registry.hpp"
 
 namespace hpmm {
 namespace {
@@ -12,6 +15,15 @@ MachineParams params(double ts, double tw) {
   m.t_s = ts;
   m.t_w = tw;
   return m;
+}
+
+/// Every registry entry's model (aliases included), bound to `mp`.
+std::vector<std::unique_ptr<PerfModel>> registry_models(const MachineParams& mp) {
+  std::vector<std::unique_ptr<PerfModel>> out;
+  for (const auto& name : default_registry().names()) {
+    out.push_back(default_registry().model(name, mp));
+  }
+  return out;
 }
 
 TEST(PerfModel, CannonEq3AtHandComputedPoint) {
@@ -64,7 +76,7 @@ TEST(PerfModel, GkCm5Eq18AtHandComputedPoint) {
 TEST(PerfModel, EfficiencyIdentity) {
   // E = 1/(1 + T_o/W) must hold for every model.
   const MachineParams mp = params(50, 3);
-  for (const auto& m : all_models(mp)) {
+  for (const auto& m : registry_models(mp)) {
     const double n = 256, p = 64;
     if (!m->applicable(n, p)) continue;
     const double e1 = m->efficiency(n, p);
@@ -75,7 +87,7 @@ TEST(PerfModel, EfficiencyIdentity) {
 
 TEST(PerfModel, EfficiencyMonotoneInN) {
   const MachineParams mp = params(150, 3);
-  for (const auto& m : all_models(mp)) {
+  for (const auto& m : registry_models(mp)) {
     double prev = 0.0;
     for (double n = 64; n <= 4096; n *= 2) {
       const double p = 64;
@@ -160,7 +172,22 @@ TEST(PerfModel, Table1ModelsOrderAndCount) {
 }
 
 TEST(PerfModel, AllModelsCount) {
-  EXPECT_EQ(all_models(params(1, 1)).size(), 12u);
+  // Fourteen registry entries share twelve models: cannon-gray and fox-pipe
+  // are aliases of cannon and fox.
+  std::set<std::string> names;
+  for (const auto& m : registry_models(params(1, 1))) names.insert(m->name());
+  EXPECT_EQ(names.size(), 12u);
+}
+
+TEST(PerfModel, Table1ModelsDeclareTheirRegionLetters) {
+  const auto models = table1_models(params(150, 3));
+  const Region letters[] = {Region::kBerntsen, Region::kCannon, Region::kGk,
+                            Region::kDns};
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    EXPECT_EQ(models[i]->region(), letters[i]) << models[i]->name();
+  }
+  EXPECT_EQ(Cannon25DModel(params(150, 3)).region(), Region::kCannon25);
+  EXPECT_EQ(SimpleModel(params(150, 3)).region(), Region::kNone);
 }
 
 TEST(PerfModel, Cannon25DReducesToCannonAtC1) {

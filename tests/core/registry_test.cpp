@@ -5,6 +5,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -65,6 +66,13 @@ TEST(Registry, ModelNamesMatchKeys) {
       EXPECT_EQ(reg.model(name, mp)->name(), name);
     }
   }
+}
+
+TEST(Registry, SelectableNamesAreTheOnePortHypercubeFormulations) {
+  // The selector's candidates, in registry order; their order breaks ties.
+  const std::vector<std::string> expected = {
+      "simple", "cannon", "cannon25d", "fox", "berntsen", "dns", "gk", "gk-jh"};
+  EXPECT_EQ(default_registry().selectable_names(), expected);
 }
 
 TEST(Registry, ModelBindsParams) {

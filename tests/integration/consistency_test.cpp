@@ -6,7 +6,6 @@
 
 #include <cmath>
 
-#include "analysis/bounds.hpp"
 #include "analysis/isoefficiency.hpp"
 #include "analysis/region_map.hpp"
 #include "analysis/sensitivity.hpp"
@@ -77,22 +76,6 @@ TEST(Consistency, EveryRegistryImplStaysInsideItsModelRange) {
     }
   }
   EXPECT_GT(checked, 300u);  // the sweep must not be vacuous
-}
-
-TEST(Consistency, EveryRegistryAlgorithmHasABoundsClassification) {
-  // The bounds oracle scores every registry entry against the lower bound
-  // of its communication-geometry class; an unclassified name throws. Like
-  // the range-consistency sweep above, this covers future entries
-  // automatically: registering an algorithm without adding it to the table
-  // in analysis/bounds.cpp fails here before the oracle suite even runs.
-  // Both the registry name and the model's own name must resolve, since
-  // distance_from_measured classifies by model->name().
-  const auto& reg = default_registry();
-  const MachineParams mp = params(150, 3);
-  for (const auto& name : reg.names()) {
-    EXPECT_NO_THROW(bounds_class(name)) << name;
-    EXPECT_NO_THROW(bounds_class(reg.model(name, mp)->name())) << name;
-  }
 }
 
 TEST(Consistency, IsoSolverAgreesWithIsoefficientSpeedup) {

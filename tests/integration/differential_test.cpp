@@ -83,7 +83,7 @@ TEST(Differential, SweepAllFormulationsMatchSerialBitForBit) {
   const std::vector<std::size_t> n_choices = {8, 12, 16, 24, 32};
   const std::vector<std::size_t> p_choices = {1,  4,  8,  9,   16,  25,
                                               27, 32, 64, 128, 256, 512};
-  const auto algos = all_algorithms();
+  const auto& reg = default_registry();
   std::size_t runs = 0;
   for (const MachineDraw& draw : machine_draws(3)) {
     Rng rng(draw.seed);
@@ -92,11 +92,12 @@ TEST(Differential, SweepAllFormulationsMatchSerialBitForBit) {
       const Matrix b = integer_matrix(n, rng);
       const Matrix serial = multiply(a, b);
       for (std::size_t p : p_choices) {
-        for (const auto& alg : algos) {
-          if (!alg->applicable(n, p)) continue;
-          const MatmulResult res = alg->run(a, b, p, draw.mp);
+        for (const auto& name : reg.selectable_names()) {
+          const ParallelMatmul& alg = reg.implementation(name);
+          if (!alg.applicable(n, p)) continue;
+          const MatmulResult res = alg.run(a, b, p, draw.mp);
           EXPECT_TRUE(bit_identical(res.c, serial))
-              << alg->name() << " n=" << n << " p=" << p
+              << name << " n=" << n << " p=" << p
               << " t_s=" << draw.mp.t_s << " t_w=" << draw.mp.t_w;
           ++runs;
         }

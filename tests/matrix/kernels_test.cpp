@@ -69,10 +69,7 @@ TEST(Kernels, ToStringNames) {
 }
 
 TEST(Kernels, FromStringRoundTrips) {
-  for (Kernel k : {Kernel::kNaiveIjk, Kernel::kCacheIkj, Kernel::kBlocked,
-                   Kernel::kTransposedB, Kernel::kPacked}) {
-    EXPECT_EQ(kernel_from_string(to_string(k)), k);
-  }
+  for (Kernel k : kAllKernels) EXPECT_EQ(kernel_from_string(to_string(k)), k);
   EXPECT_THROW(kernel_from_string("bogus"), PreconditionError);
   EXPECT_THROW(kernel_from_string(""), PreconditionError);
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -22,6 +24,16 @@ TEST(Matrix, ZeroInitialised) {
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(m(r, c), 0.0);
   }
+}
+
+TEST(Matrix, ShapesWhoseSizeWrapsThrow) {
+  // 2^32 x 2^32 wraps rows * cols to 0 in 64 bits; it must throw, not
+  // allocate nothing and then index past the end.
+  const std::size_t big = std::size_t{1} << 32;
+  EXPECT_THROW(Matrix(big, big), PreconditionError);
+  EXPECT_THROW(Matrix(big, big, 1.0), PreconditionError);
+  EXPECT_THROW(Matrix(SIZE_MAX, 2), PreconditionError);
+  EXPECT_NO_THROW(Matrix(0, SIZE_MAX));
 }
 
 TEST(Matrix, FillConstructor) {

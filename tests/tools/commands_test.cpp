@@ -4,8 +4,12 @@
 
 #include <cctype>
 #include <fstream>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -24,9 +28,10 @@ struct Run {
   std::string err;
 };
 
-Run run(std::initializer_list<const char*> argv) {
+Run run(const std::vector<const char*>& argv) {
   std::ostringstream os, es;
-  const int code = dispatch(make(argv), os, es);
+  const int code =
+      dispatch(CliArgs(static_cast<int>(argv.size()), argv.data()), os, es);
   return Run{code, os.str(), es.str()};
 }
 
@@ -222,16 +227,6 @@ TEST(Cli, UsageListsInject) {
   const auto r = run({"hpmm"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("inject"), std::string::npos);
-}
-
-TEST(Cli, InjectHelpDocumentsScenarioFlags) {
-  const auto r = run({"hpmm", "inject", "--help"});
-  EXPECT_EQ(r.code, 0);
-  for (const char* flag : {"--drop", "--dup", "--delay", "--corrupt",
-                           "--abft", "--stragglers", "--failstop",
-                           "--reliable", "--retries", "--seed"}) {
-    EXPECT_NE(r.out.find(flag), std::string::npos) << flag;
-  }
 }
 
 TEST(Cli, InjectCleanPlanRuns) {
@@ -666,13 +661,168 @@ TEST(Cli, BoundsHelpAndUsageMentionIt) {
   EXPECT_NE(usage.err.find("--with-bounds"), std::string::npos);
 }
 
-TEST(Cli, ServeHelpAndUsageMentionIt) {
-  const auto help = run({"hpmm", "serve", "--help"});
-  EXPECT_EQ(help.code, 0);
-  EXPECT_NE(help.out.find("--scenario"), std::string::npos);
-  EXPECT_NE(help.out.find("--breaker-threshold"), std::string::npos);
-  const auto usage = run({"hpmm"});
-  EXPECT_NE(usage.err.find("serve"), std::string::npos);
+// ---- goldens: output pinned byte for byte ---------------------------------
+
+std::string golden(const std::string& name) {
+  return slurp(std::string(HPMM_SOURCE_DIR) + "/tests/golden/" + name);
+}
+
+TEST(CliGolden, List) {
+  const auto r = run({"hpmm", "list"});
+  EXPECT_EQ(r.code, 0);
+  EXPECT_EQ(r.out, golden("list.txt"));
+}
+
+TEST(CliGolden, SelectOnTheCm5) {
+  const auto r = run({"hpmm", "select", "--n=96", "--p=512", "--machine=cm5"});
+  EXPECT_EQ(r.code, 0);
+  EXPECT_EQ(r.out, golden("select_cm5.txt"));
+}
+
+TEST(CliGolden, Machines) {
+  const auto r = run({"hpmm", "machines"});
+  EXPECT_EQ(r.code, 0);
+  EXPECT_EQ(r.out, golden("machines.txt"));
+}
+
+// ---- hostile input: exit 1 naming the flag, never a crash -----------------
+
+TEST(Cli, OutOfRangeValuesExitOneNamingTheFlag) {
+  const std::vector<std::pair<std::vector<const char*>, const char*>> cases = {
+      {{"hpmm", "regions", "--pcells=-1"}, "--pcells"},
+      {{"hpmm", "trace", "--width=-1"}, "--width"},
+      {{"hpmm", "run", "--p=-4"}, "--p"},
+      {{"hpmm", "run", "--n=-1"}, "--n"},
+      {{"hpmm", "run", "--algorithm=cannon25d", "--c=0"}, "--c"},
+      {{"hpmm", "serve", "--threads=0"}, "--threads"},
+      {{"hpmm", "inject", "--corrupt=2"}, "--corrupt"},
+      {{"hpmm", "inject", "--drop=nan"}, "--drop"},
+      {{"hpmm", "list", "--format=csv|json"}, "--format"},
+  };
+  for (const auto& [argv, flag] : cases) {
+    const auto r = run(argv);
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find(flag), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << flag;
+  }
+}
+
+TEST(Cli, MatrixOrderThatWrapsFailsCleanly) {
+  // n * n wraps to 0 in 64 bits; this used to segfault.
+  const auto r = run({"hpmm", "run", "--algorithm=cannon", "--p=4",
+                      "--n=4294967296"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("Matrix"), std::string::npos) << r.err;
+}
+
+TEST(Cli, NonFiniteNumberExitsOneNamingTheFlag) {
+  // p *= 8 never passes an infinite --pmax.
+  const auto r = run({"hpmm", "iso", "--pmax=inf"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--pmax"), std::string::npos) << r.err;
+}
+
+TEST(Cli, UndeclaredFlagExitsOneNamingIt) {
+  // A typo used to be ignored: this ran the default gk instead.
+  const auto r = run({"hpmm", "run", "--algoritm=cannon"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.out, "");
+  EXPECT_NE(r.err.find("--algoritm"), std::string::npos) << r.err;
+  EXPECT_EQ(run({"hpmm", "inject", "--c=2"}).code, 1);
+  EXPECT_EQ(run({"hpmm", "list", "--n=4"}).code, 1);
+}
+
+TEST(Cli, MalformedBooleanExitsOneNamingTheFlag) {
+  // --measured=ture used to run the unmeasured table silently.
+  const auto r = run({"hpmm", "bounds", "--measured=ture"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_NE(r.err.find("--measured"), std::string::npos) << r.err;
+  EXPECT_EQ(run({"hpmm", "bounds", "--algo=gk", "--measured=no"}).code, 0);
+}
+
+// ---- the flag tables -------------------------------------------------------
+
+TEST(Cli, EveryCommandPrintsItsFlagTableAsHelp) {
+  for (const Command& c : commands()) {
+    const auto r = run({"hpmm", c.name.c_str(), "--help"});
+    EXPECT_EQ(r.code, 0) << c.name;
+    for (const Flag& f : c.flags) {
+      EXPECT_NE(r.out.find("--" + f.name + "="), std::string::npos)
+          << c.name << " --" << f.name;
+    }
+  }
+  const std::string help = run({"hpmm", "run", "--help"}).out;
+  EXPECT_NE(help.find("--n=N"), std::string::npos);
+  EXPECT_NE(help.find("matrix order (>= 1, default 64)"), std::string::npos);
+  EXPECT_NE(help.find("(in [0, 1], default 1)"), std::string::npos);
+  EXPECT_NE(help.find("--format=aligned|csv|markdown|json"), std::string::npos);
+  EXPECT_NE(help.find("--out=FILE"), std::string::npos);
+  EXPECT_NE(help.find("--causal=0|1"), std::string::npos);
+}
+
+TEST(Cli, ReadingAFlagAgainstItsTableIsAnInternalError) {
+  const CliArgs args = make({"x"});
+  const Flags f(args, machine_flags());
+  EXPECT_THROW(f.size("undeclared"), InternalError);
+  EXPECT_THROW(f.number("threads"), InternalError);  // declared an integer
+  EXPECT_EQ(f.size("threads"), 1u);
+  const FlagTable no_default = {int_flag("k", "", "no default", 0)};
+  EXPECT_THROW(Flags(args, no_default).size("k"), InternalError);
+}
+
+TEST(Cli, FlagTablesDeclareEachFlagOnce) {
+  for (const Command& c : commands()) {
+    std::set<std::string> seen;
+    for (const Flag& f : c.flags) {
+      EXPECT_TRUE(seen.insert(f.name).second) << c.name << " --" << f.name;
+    }
+  }
+}
+
+/// The flags docs/cli.md's `Flags:` paragraph names, per `## ` section;
+/// "machine group" and "output group" stand for those groups' flags.
+std::map<std::string, std::set<std::string>> documented_flags() {
+  std::ifstream doc(std::string(HPMM_SOURCE_DIR) + "/docs/cli.md");
+  std::map<std::string, std::string> text;
+  std::string section, line;
+  bool in_flags = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("## ", 0) == 0) {
+      section = std::regex_replace(line, std::regex("^## (`hpmm )?|`$"), "");
+    }
+    in_flags = !line.empty() && (in_flags || line.rfind("Flags:", 0) == 0);
+    if (in_flags) text[section] += " " + line;
+  }
+  std::map<std::string, std::set<std::string>> out;
+  const std::regex name("--([a-z0-9-]+)|(machine|output) group");
+  for (const auto& [sec, t] : text) {
+    for (std::sregex_iterator it(t.begin(), t.end(), name), end; it != end;
+         ++it) {
+      if ((*it)[1].matched) out[sec].insert((*it)[1]);
+      if (!(*it)[2].matched) continue;
+      for (const Flag& f :
+           (*it)[2] == "machine" ? machine_flags() : output_flags()) {
+        out[sec].insert(f.name);
+      }
+    }
+  }
+  return out;
+}
+
+std::set<std::string> names_of(const FlagTable& table) {
+  std::set<std::string> out;
+  for (const Flag& f : table) out.insert(f.name);
+  return out;
+}
+
+TEST(Cli, DocsListExactlyTheDeclaredFlags) {
+  const auto documented = documented_flags();
+  EXPECT_EQ(documented.at("Machine group"), names_of(machine_flags()));
+  EXPECT_EQ(documented.at("Output group"), names_of(output_flags()));
+  for (const Command& c : commands()) {
+    ASSERT_TRUE(documented.count(c.name)) << "docs/cli.md lacks " << c.name;
+    EXPECT_EQ(documented.at(c.name), names_of(c.flags)) << c.name;
+  }
 }
 
 }  // namespace

@@ -49,6 +49,22 @@ TEST(Cli, BoolVariants) {
   EXPECT_TRUE(make({"p", "--a=yes"}).get_bool("a", false));
   EXPECT_TRUE(make({"p", "--a=1"}).get_bool("a", false));
   EXPECT_FALSE(make({"p", "--a=no"}).get_bool("a", true));
+  EXPECT_FALSE(make({"p", "--a=0"}).get_bool("a", true));
+  EXPECT_FALSE(make({"p", "--a=false"}).get_bool("a", true));
+  EXPECT_TRUE(make({"p", "--a=true"}).get_bool("a", false));
+}
+
+// --measured=ture used to read as false and silently skip the measurement.
+TEST(Cli, BoolRejectsAnythingElseNamingTheFlag) {
+  for (const char* bad : {"--measured=ture", "--measured=", "--measured=2",
+                          "--measured=TRUE", "--measured=on"}) {
+    try {
+      make({"p", bad}).get_bool("measured", false);
+      FAIL() << bad;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("--measured"), std::string::npos);
+    }
+  }
 }
 
 // --p=abc used to silently parse as 0 (strtoll with a null end pointer);
