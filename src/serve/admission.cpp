@@ -100,11 +100,13 @@ ServeOutcome AdmissionController::try_admit(const std::string& tenant,
 
 void AdmissionController::on_final(const std::string& tenant, double now,
                                    bool success) {
-  require(in_flight_ > 0 && tenant_in_flight_[tenant] > 0,
-          "AdmissionController::on_final: tenant '" + tenant +
-              "' has no admitted request in flight");
+  const auto it = tenant_in_flight_.find(tenant);
+  if (in_flight_ == 0 || it == tenant_in_flight_.end() || it->second == 0) {
+    require(false, "AdmissionController::on_final: tenant '" + tenant +
+                       "' has no admitted request in flight");
+  }
   --in_flight_;
-  --tenant_in_flight_[tenant];
+  --it->second;
   CircuitBreaker& breaker = breaker_for(tenant);
   if (success) {
     breaker.record_success();

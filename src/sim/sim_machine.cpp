@@ -498,9 +498,9 @@ void SimMachine::exchange(std::vector<Message> messages) {
       } else {
         phase_cell(cur, pid).idle_time += rs.arrival_max[pid] - next;
         // The wait ends at the arrival: pid's clock is now explained by the
-        // producing chain, not by what pid did this round.
+        // producing chain; swapping recycles the old chain's buffer.
         if (rs.arrival_msg[pid] != kNoMessage) {
-          chain_[pid] = std::move(rs.adopted[k]);
+          chain_[pid].swap(rs.adopted[k]);
         }
       }
       if (rs.arrival_msg[pid] != kNoMessage && causal_on(pid)) {

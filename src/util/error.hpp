@@ -3,6 +3,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hpmm {
 
@@ -21,22 +22,29 @@ class InternalError : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
+namespace detail {
+/// Failure path of require()/ensure(): builds "file:line: message" and throws
+/// PreconditionError, or InternalError when `internal` is set. Kept out of
+/// line so a passing check costs one branch and no allocation.
+[[noreturn, gnu::cold]] void throw_check_failure(bool internal,
+                                                 std::string_view message,
+                                                 const std::source_location& loc);
+}  // namespace detail
+
 /// Validate a documented precondition; throws PreconditionError with the
 /// call site baked into the message.
-inline void require(bool condition, const std::string& message,
+inline void require(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw PreconditionError(std::string(loc.file_name()) + ":" +
-                            std::to_string(loc.line()) + ": " + message);
+  if (!condition) [[unlikely]] {
+    detail::throw_check_failure(false, message, loc);
   }
 }
 
 /// Validate an internal invariant; throws InternalError on failure.
-inline void ensure(bool condition, const std::string& message,
+inline void ensure(bool condition, std::string_view message,
                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw InternalError(std::string(loc.file_name()) + ":" +
-                        std::to_string(loc.line()) + ": " + message);
+  if (!condition) [[unlikely]] {
+    detail::throw_check_failure(true, message, loc);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -17,7 +18,10 @@ Histogram::Histogram(std::vector<double> upper_bounds)
     require(bounds_[i] > bounds_[i - 1],
             "Histogram: bucket bounds must be strictly ascending");
   }
-  counts_.assign(bounds_.size() + 1, 0);
+  // A fresh vector rather than assign(): GCC 12's -Warray-bounds misreads
+  // assign() over the one-element default once require()'s failure path is
+  // [[noreturn]].
+  counts_ = std::vector<std::uint64_t>(bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double v) noexcept {
@@ -194,51 +198,57 @@ std::vector<std::uint64_t> TrafficMatrix::dense() const {
   return out;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  return counters_[name];
+namespace {
+// The metric registered under `name`, constructed from `args` on first use
+// (only then is the name copied into the map).
+template <class Map, class... Args>
+typename Map::mapped_type& fetch_or_create(Map& m, std::string_view name,
+                                           Args&&... args) {
+  const auto it = m.find(name);
+  if (it != m.end()) return it->second;
+  return m.try_emplace(std::string(name), std::forward<Args>(args)...)
+      .first->second;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  return gauges_[name];
+template <class Map>
+const typename Map::mapped_type* find_in(const Map& m, std::string_view name) {
+  const auto it = m.find(name);
+  return it == m.end() ? nullptr : &it->second;
+}
+}  // namespace
+
+Counter& MetricsRegistry::counter(std::string_view name) {
+  return fetch_or_create(counters_, name);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name,
+Gauge& MetricsRegistry::gauge(std::string_view name) {
+  return fetch_or_create(gauges_, name);
+}
+
+Histogram& MetricsRegistry::histogram(std::string_view name,
                                       std::vector<double> upper_bounds) {
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) return it->second;
-  return histograms_.emplace(name, Histogram(std::move(upper_bounds)))
-      .first->second;
+  return fetch_or_create(histograms_, name, std::move(upper_bounds));
 }
 
-TimeSeries& MetricsRegistry::series(const std::string& name,
-                                    double window_width,
+TimeSeries& MetricsRegistry::series(std::string_view name, double window_width,
                                     std::vector<double> hist_bounds) {
-  const auto it = series_.find(name);
-  if (it != series_.end()) return it->second;
-  return series_
-      .emplace(name, TimeSeries(window_width, std::move(hist_bounds)))
-      .first->second;
+  return fetch_or_create(series_, name, window_width, std::move(hist_bounds));
 }
 
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : &it->second;
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
+  return find_in(counters_, name);
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
+const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
+  return find_in(gauges_, name);
 }
 
-const Histogram* MetricsRegistry::find_histogram(
-    const std::string& name) const {
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
+const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {
+  return find_in(histograms_, name);
 }
 
-const TimeSeries* MetricsRegistry::find_series(const std::string& name) const {
-  const auto it = series_.find(name);
-  return it == series_.end() ? nullptr : &it->second;
+const TimeSeries* MetricsRegistry::find_series(std::string_view name) const {
+  return find_in(series_, name);
 }
 
 namespace {

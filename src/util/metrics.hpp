@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -173,23 +175,25 @@ class TrafficMatrix {
 /// Name-addressed bag of counters, gauges and histograms. Instruments fetch
 /// their metric once by name (creating it on first use) and update it
 /// directly; readers enumerate by sorted name or export everything as JSON.
+/// Looking up an existing metric allocates nothing: names are compared as
+/// string views, and a name is copied only when its metric is created.
 class MetricsRegistry {
  public:
   /// Fetch-or-create. References stay valid for the registry's lifetime.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
   /// `upper_bounds` applies on first creation only (non-empty, ascending).
-  Histogram& histogram(const std::string& name,
+  Histogram& histogram(std::string_view name,
                        std::vector<double> upper_bounds);
   /// `window_width` and `hist_bounds` apply on first creation only.
-  TimeSeries& series(const std::string& name, double window_width,
+  TimeSeries& series(std::string_view name, double window_width,
                      std::vector<double> hist_bounds = {});
 
   /// Lookup without creating; null when absent.
-  const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
-  const TimeSeries* find_series(const std::string& name) const;
+  const Counter* find_counter(std::string_view name) const;
+  const Gauge* find_gauge(std::string_view name) const;
+  const Histogram* find_histogram(std::string_view name) const;
+  const TimeSeries* find_series(std::string_view name) const;
 
   std::vector<std::string> counter_names() const;
   std::vector<std::string> gauge_names() const;
@@ -207,10 +211,10 @@ class MetricsRegistry {
   void write_json(std::ostream& os) const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
-  std::map<std::string, TimeSeries> series_;
+  std::map<std::string, Counter, std::less<>> counters_;
+  std::map<std::string, Gauge, std::less<>> gauges_;
+  std::map<std::string, Histogram, std::less<>> histograms_;
+  std::map<std::string, TimeSeries, std::less<>> series_;
 };
 
 }  // namespace hpmm

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace hpmm {
@@ -140,6 +142,27 @@ TEST(AdmissionController, BreakerCheckPrecedesQueueAndQuota) {
 TEST(AdmissionController, BreakerIsNullBeforeFirstArrival) {
   AdmissionController ac(small_config());
   EXPECT_EQ(ac.breaker("never-seen"), nullptr);
+}
+
+TEST(AdmissionController, FinalWithoutAnAdmittedRequestThrows) {
+  AdmissionController ac(small_config());
+  ASSERT_EQ(ac.try_admit("a", 0.0), ServeOutcome::kOk);
+  // "a" holds a unit, "b" none: the failed check leaves both untouched.
+  try {
+    ac.on_final("b", 1.0, true);
+    ADD_FAILURE() << "on_final for an idle tenant did not throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "on_final: tenant 'b' has no admitted request in flight"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(ac.in_flight(), 1u);
+  EXPECT_EQ(ac.tenant_in_flight("a"), 1u);
+  EXPECT_EQ(ac.tenant_in_flight("b"), 0u);
+  EXPECT_EQ(ac.breaker("b"), nullptr);
+  ac.on_final("a", 2.0, true);
+  EXPECT_THROW(ac.on_final("a", 3.0, true), PreconditionError);
 }
 
 TEST(ServeOutcomeNames, RejectionsAndStrings) {
