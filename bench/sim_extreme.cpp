@@ -85,7 +85,7 @@ void BM_EndToEnd(benchmark::State& state) {
     const MatmulResult res = Algo().run(a, b, p, mp);
     benchmark::DoNotOptimize(res.report.t_parallel);
     messages += res.report.total_messages;
-    footprint = res.report.engine_footprint_bytes;
+    footprint = res.report.engine.arena_bytes;
     t_parallel = res.report.t_parallel;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(messages));

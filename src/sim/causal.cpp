@@ -19,6 +19,8 @@ std::string_view CausalGraph::kind_name(Kind k) noexcept {
       return "transfer";
     case Kind::kModeled:
       return "modeled";
+    case Kind::kWait:
+      return "wait";
   }
   return "?";
 }
@@ -29,47 +31,25 @@ CausalGraph::CausalGraph(std::size_t procs, bool complete,
   heads_.assign(procs, kNoSpan);
 }
 
-std::uint32_t CausalGraph::chain(ProcId pid, Kind kind, std::uint16_t phase,
-                                 double start, double end,
-                                 const PathTerms& terms,
-                                 double fault_overhead) {
+void CausalGraph::append(ProcId pid, Kind kind, std::uint16_t phase,
+                         double start, double end, const PathTerms& terms,
+                         double fault_overhead, Edge from) {
   require(spans_.size() < kNoSpan, "CausalGraph: span arena full");
+  if (!is_wait(kind)) from = edge_from(pid);
   Span s;
-  s.pred = heads_[pid];
+  s.pred = from.pred;
   s.pid = pid;
   s.phase = phase;
   s.kind = kind;
-  s.hop = hop(pid);
+  s.hop = from.hop;
   s.start = start;
   s.end = end;
   s.terms = terms;
   s.fault_overhead = fault_overhead;
-  const auto idx = static_cast<std::uint32_t>(spans_.size());
   spans_.push_back(s);
-  heads_[pid] = idx;
-  return idx;
-}
-
-std::uint32_t CausalGraph::adopt(ProcId pid, std::uint32_t pred,
-                                 std::uint32_t hop, std::uint16_t phase,
-                                 double start, double end,
-                                 const PathTerms& terms,
-                                 double fault_overhead) {
-  require(spans_.size() < kNoSpan, "CausalGraph: span arena full");
-  Span s;
-  s.pred = pred;
-  s.pid = pid;
-  s.phase = phase;
-  s.kind = Kind::kTransfer;
-  s.hop = hop;
-  s.start = start;
-  s.end = end;
-  s.terms = terms;
-  s.fault_overhead = fault_overhead;
-  const auto idx = static_cast<std::uint32_t>(spans_.size());
-  spans_.push_back(s);
-  heads_[pid] = idx;
-  return idx;
+  if (kind != Kind::kWait) {
+    heads_[pid] = static_cast<std::uint32_t>(spans_.size() - 1);
+  }
 }
 
 std::uint64_t CausalGraph::approx_bytes() const noexcept {
@@ -90,13 +70,8 @@ CausalGraph::CriticalPath CausalGraph::critical_path(ProcId pid) const {
   // their terms in, so the reconciliation against RunReport::critical_path
   // differs only by summation association (well inside 1e-9).
   for (const std::uint32_t s : cp.spans) {
-    const Span& sp = spans_[s];
-    cp.terms.compute += sp.terms.compute;
-    cp.terms.startup += sp.terms.startup;
-    cp.terms.word += sp.terms.word;
-    cp.terms.modeled += sp.terms.modeled;
-    cp.terms.other += sp.terms.other;
-    cp.fault_overhead += sp.fault_overhead;
+    cp.terms += spans_[s].terms;
+    cp.fault_overhead += spans_[s].fault_overhead;
   }
   return cp;
 }

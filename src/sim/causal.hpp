@@ -10,18 +10,26 @@
 
 namespace hpmm {
 
-/// Happens-before span DAG of one simulated run (DESIGN.md "Causal span
-/// tracing"). Every charged interval on a sampled processor — a compute
-/// charge, the busy part of a send, retry timeouts, a modeled-collective
-/// charge, or a cross-processor message transfer — becomes a Span in one
-/// flat arena. Each span points at the span it causally depends on:
+/// The run's span log (DESIGN.md §9): the one per-event record of a
+/// simulated run, kept when MachineParams::trace or ::causal is set. Every
+/// charged interval on a sampled processor — a compute charge, the busy
+/// part of a send, retry timeouts, a message transfer a receiver waited
+/// on, a modeled-collective charge and, with a trace on, a barrier or
+/// group wait — becomes a Span in one flat arena, appended in charge
+/// order. The log has two views: the happens-before DAG read here, and
+/// the timeline SimMachine::trace() builds from the same spans.
+///
+/// Each span points at the span it causally depends on:
 ///
 ///  * compute/send/retry/modeled spans chain onto the processor's previous
-///    head span (program order), and
-///  * a transfer span's pred is the *sender's* head at send time (carried
-///    on the wire by Message::span); a receiver that actually waited for
-///    the arrival adopts the transfer span as its new head, exactly
-///    mirroring the PathTerms chain adoption in SimMachine::exchange().
+///    head span (program order);
+///  * a transfer span covers the receiver's wait and its pred is the
+///    *sender's* head at send time (carried on the wire by
+///    Message::span); the receiver adopts it as its new head, exactly
+///    mirroring the PathTerms chain adoption in SimMachine::exchange();
+///  * a wait span is a leaf whose pred is the head of the processor that
+///    set the barrier. It never becomes a head: the waiter's head moves
+///    with set_head(), so the DAG is the same with or without a trace.
 ///
 /// Walking pred links back from the head of the processor that attains T_p
 /// therefore yields the *measured* critical path: the longest weighted
@@ -47,10 +55,16 @@ class CausalGraph {
     kCompute,   ///< compute() charge
     kSend,      ///< sender busy time of its round-dominating message
     kRetry,     ///< sender timeout time beyond busy (reliable delivery)
-    kTransfer,  ///< a message transfer a receiver waited on (cross edge)
-    kModeled    ///< charge_group_comm modeled-collective charge
+    kTransfer,  ///< a receiver's wait for a message (cross edge)
+    kModeled,   ///< charge_group_comm modeled-collective charge
+    kWait       ///< barrier or group wait (recorded with a trace only)
   };
   static std::string_view kind_name(Kind k) noexcept;
+  /// Transfers and waits: time pid spent waiting on another processor,
+  /// whose chain (not pid's own program order) explains it.
+  static constexpr bool is_wait(Kind k) noexcept {
+    return k == Kind::kTransfer || k == Kind::kWait;
+  }
 
   struct Span {
     std::uint32_t pred = kNoSpan;  ///< producing span (index into spans())
@@ -62,6 +76,13 @@ class CausalGraph {
     double end = 0.0;
     PathTerms terms;  ///< model-term slice this span contributes to its chain
     double fault_overhead = 0.0;  ///< slice of terms attributable to faults
+  };
+
+  /// The span another processor's span depends on, with the number of
+  /// message transfers crossed by the chain behind it.
+  struct Edge {
+    std::uint32_t pred = kNoSpan;
+    std::uint32_t hop = 0;
   };
 
   /// `complete` declares that every processor is sampled (trace_sample >= 1),
@@ -78,22 +99,20 @@ class CausalGraph {
   std::uint32_t hop(ProcId pid) const noexcept {
     return heads_[pid] == kNoSpan ? 0u : spans_[heads_[pid]].hop;
   }
+  /// pid's head as the edge a span that waited on pid depends on.
+  Edge edge_from(ProcId pid) const noexcept { return {heads_[pid], hop(pid)}; }
   /// Barrier/group adoption: pid's clock is now explained by another
   /// processor's chain. Records no span.
   void set_head(ProcId pid, std::uint32_t span) noexcept { heads_[pid] = span; }
 
-  /// Append a span chained onto pid's current head and make it the head.
-  std::uint32_t chain(ProcId pid, Kind kind, std::uint16_t phase, double start,
-                      double end, const PathTerms& terms,
-                      double fault_overhead);
-
-  /// Append a cross-processor transfer span (pred = the sender's span at
-  /// send time, hop = the message's causal depth) and adopt it as pid's
-  /// head: the receiver waited for this arrival, so its clock is explained
-  /// by the producing chain, not by what it did itself.
-  std::uint32_t adopt(ProcId pid, std::uint32_t pred, std::uint32_t hop,
-                      std::uint16_t phase, double start, double end,
-                      const PathTerms& terms, double fault_overhead);
+  /// Append one span on pid. Compute, send, retry and modeled spans chain
+  /// onto pid's head and become it. A transfer depends on `from` (the
+  /// sender's head at send time) and becomes pid's head: the receiver
+  /// waited for this arrival, so its clock is explained by the producing
+  /// chain. A wait depends on `from` and stays a leaf.
+  void append(ProcId pid, Kind kind, std::uint16_t phase, double start,
+              double end, const PathTerms& terms, double fault_overhead,
+              Edge from);
 
   const std::vector<Span>& spans() const noexcept { return spans_; }
 

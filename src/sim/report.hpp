@@ -42,6 +42,14 @@ struct PathTerms {
   double total() const noexcept {
     return compute + startup + word + modeled + other;
   }
+  PathTerms& operator+=(const PathTerms& o) noexcept {
+    compute += o.compute;
+    startup += o.startup;
+    word += o.word;
+    modeled += o.modeled;
+    other += o.other;
+    return *this;
+  }
 };
 
 /// Per-(phase, processor) accounting cell kept by the simulator; the same
@@ -72,7 +80,7 @@ struct PhaseBreakdown {
 
 /// Engine self-telemetry snapshot taken by SimMachine::report(): how the
 /// simulator itself (not the simulated machine) behaved. Host-side
-/// diagnostics like engine_footprint_bytes — surfaced by `hpmm profile` and
+/// diagnostics like arena_bytes — surfaced by `hpmm profile` and
 /// as `engine.*` gauges in RunReport::metrics, deliberately NOT serialized
 /// by write_json so reports stay byte-comparable across engine versions.
 /// The wall-clock fields are nondeterministic by nature; everything else is
@@ -82,7 +90,9 @@ struct EngineTelemetry {
   std::uint64_t inbox_free = 0;        ///< free-list length at report time
   std::uint64_t inbox_pending = 0;     ///< delivered-but-unreceived messages
   std::uint64_t inbox_high_water = 0;  ///< max pending over the run
-  std::uint64_t arena_bytes = 0;       ///< approx_footprint_bytes()
+  /// SimMachine::approx_footprint_bytes(): how much real memory the engine
+  /// held for this run.
+  std::uint64_t arena_bytes = 0;
   std::uint64_t events = 0;  ///< charged events (computes+messages+modeled)
   double events_per_vtime = 0.0;    ///< events / T_p (virtual-time rate)
   double events_per_wall_sec = 0.0; ///< events / host wall seconds
@@ -91,8 +101,8 @@ struct EngineTelemetry {
   std::uint64_t pool_batches = 0;   ///< parallel_for invocations
   std::uint64_t pool_items = 0;     ///< indices dispatched across batches
   double pool_busy_seconds = 0.0;   ///< caller wall time inside the pool
-  std::uint64_t causal_spans = 0;   ///< spans in the causal DAG (if enabled)
-  std::uint64_t causal_bytes = 0;   ///< causal DAG arena bytes
+  std::uint64_t causal_spans = 0;   ///< spans in the span log (trace/causal)
+  std::uint64_t causal_bytes = 0;   ///< span log arena bytes
 };
 
 /// One fault-bearing span on the measured critical path: what kind of
@@ -115,8 +125,6 @@ struct CausalSpanNote {
 struct CausalSummary {
   bool enabled = false;
   bool complete = false;  ///< every processor sampled; measured path valid
-  std::uint64_t spans = 0;
-  std::uint64_t bytes = 0;
   std::uint64_t path_spans = 0;  ///< spans on the measured critical path
   PathTerms measured;            ///< critical path summed from the DAG
   double fault_overhead = 0.0;   ///< fault slice of the measured path
@@ -139,12 +147,6 @@ struct RunReport {
   std::uint64_t total_messages = 0;
   std::uint64_t total_words = 0;
   std::uint64_t max_peak_words = 0;
-
-  /// Host-side accounting snapshot of the simulator at report time
-  /// (SimMachine::approx_footprint_bytes): how much real memory the engine
-  /// held for this run. Diagnostic only — deliberately NOT serialized by
-  /// write_json, so reports stay byte-comparable across engine versions.
-  std::uint64_t engine_footprint_bytes = 0;
 
   /// Engine self-telemetry (never serialized; see EngineTelemetry).
   EngineTelemetry engine;

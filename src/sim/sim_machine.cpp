@@ -1,6 +1,8 @@
 #include "sim/sim_machine.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <ranges>
 
 #include "sim/reliable.hpp"
 #include "topology/routing.hpp"
@@ -57,11 +59,7 @@ SimMachine::SimMachine(std::shared_ptr<const Topology> topology,
       &metrics_.histogram("sim.hop_latency", Histogram::pow2_bounds(24));
   c_messages_ = &metrics_.counter("sim.messages");
   c_words_ = &metrics_.counter("sim.words");
-  tracing_ = params_.trace;
-  if (params_.causal) {
-    causal_ = std::make_unique<CausalGraph>(
-        p, trace_all_, 0x9e3779b97f4a7c15ull ^ params_.trace_sample_seed);
-  }
+  enable_tracing(params_.trace);
   wall_start_ = std::chrono::steady_clock::now();
   // The fault path only exists when a plan can actually fire; an inactive
   // plan keeps the machine on the exact ideal code path (bit-identical
@@ -89,12 +87,50 @@ bool SimMachine::trace_sampled(ProcId pid) const noexcept {
   return z < trace_threshold_;
 }
 
-void SimMachine::record(ProcId pid, TraceEvent::Kind kind, double start,
-                        double end, std::uint64_t words) {
-  if (!tracing_ || end <= start) return;
-  if (!trace_all_ && !trace_sampled(pid)) return;
-  trace_events_.push_back(
-      TraceEvent{pid, kind, start, end, words, current_phase()});
+void SimMachine::enable_tracing(bool on) {
+  tracing_ = on;
+  if (!tracing_ && !params_.causal) {
+    log_.reset();
+  } else if (!log_) {
+    log_ = std::make_unique<CausalGraph>(
+        procs(), trace_all_, 0x9e3779b97f4a7c15ull ^ params_.trace_sample_seed);
+  }
+}
+
+namespace {
+
+TraceEvent::Kind timeline_kind(CausalGraph::Kind kind) noexcept {
+  switch (kind) {
+    case CausalGraph::Kind::kCompute: return TraceEvent::Kind::kCompute;
+    case CausalGraph::Kind::kSend: return TraceEvent::Kind::kSend;
+    case CausalGraph::Kind::kRetry: return TraceEvent::Kind::kRetry;
+    case CausalGraph::Kind::kModeled: return TraceEvent::Kind::kModeledComm;
+    case CausalGraph::Kind::kTransfer:
+    case CausalGraph::Kind::kWait: break;
+  }
+  return TraceEvent::Kind::kWait;
+}
+
+}  // namespace
+
+Trace SimMachine::trace() const {
+  // The timeline view of the span log: every span with a visible extent,
+  // in the order the intervals were charged. Sized exactly, since the view
+  // and the log are alive together.
+  std::vector<TraceEvent> events;
+  if (tracing_) {
+    const auto& spans = log_->spans();
+    events.reserve(static_cast<std::size_t>(
+        std::count_if(spans.begin(), spans.end(), [](const auto& s) {
+          return s.end > s.start;
+        })));
+    for (const CausalGraph::Span& s : spans) {
+      if (s.end <= s.start) continue;
+      events.push_back(
+          TraceEvent{s.pid, timeline_kind(s.kind), s.start, s.end, s.phase});
+    }
+  }
+  return Trace(procs(), std::move(events), phase_names_);
 }
 
 SimMachine::PhaseId SimMachine::begin_phase(std::string_view name) {
@@ -121,16 +157,16 @@ void SimMachine::end_phase() {
   phase_stack_.pop_back();
 }
 
-PhaseStats& SimMachine::phase_cell(PhaseId phase, ProcId pid) {
+PhaseStats& SimMachine::phase_cell(ProcId pid) {
+  const PhaseId phase = current_phase();
+  if (aggregate_) {
+    if (phase_totals_.size() <= phase) phase_totals_.resize(phase + 1u);
+    return phase_totals_[phase];
+  }
   if (phase_stats_.size() <= phase) phase_stats_.resize(phase + 1u);
   auto& row = phase_stats_[phase];
   if (row.size() < procs()) row.resize(procs());
   return row[pid];
-}
-
-PhaseStats& SimMachine::phase_total(PhaseId phase) {
-  if (phase_totals_.size() <= phase) phase_totals_.resize(phase + 1u);
-  return phase_totals_[phase];
 }
 
 PathTerms& SimMachine::chain_cell(ProcId pid) {
@@ -140,37 +176,63 @@ PathTerms& SimMachine::chain_cell(ProcId pid) {
   return row[phase];
 }
 
+template <class Explain>
+PhaseStats& SimMachine::charge(ProcId pid, Kind kind, double start,
+                               double end, double duration,
+                               const Explain& explain) {
+  ProcStats& st = stats_[pid];
+  PhaseStats& cell = phase_cell(pid);
+  switch (kind) {
+    case Kind::kCompute:
+      st.compute_time += duration;
+      cell.compute_time += duration;
+      break;
+    case Kind::kSend:
+    case Kind::kModeled:
+      st.comm_time += duration;
+      cell.comm_time += duration;
+      break;
+    case Kind::kRetry:
+    case Kind::kTransfer:
+    case Kind::kWait:
+      st.idle_time += duration;
+      cell.idle_time += duration;
+      break;
+  }
+  st.clock = end;
+  if (duration <= 0.0) return cell;
+  const bool chained = !aggregate_ && !CausalGraph::is_wait(kind);
+  const bool spanned = logged(pid) && (kind != Kind::kWait || tracing_);
+  if (chained || spanned) {
+    const Explanation x = explain();
+    if (chained) chain_cell(pid) += x.terms;
+    if (spanned) {
+      log_->append(pid, kind, current_phase(), start, end, x.terms,
+                   x.fault_overhead, x.from);
+    }
+  }
+  return cell;
+}
+
 void SimMachine::compute(ProcId pid, double flops) {
   require(pid < procs(), "SimMachine::compute: pid out of range");
-  require(flops >= 0.0, "SimMachine::compute: negative flops");
-  auto& st = stats_[pid];
+  // Also rejects NaN and infinity; the flop count is booked as uint64.
+  require(flops >= 0.0 && flops < 18446744073709551616.0,
+          "SimMachine::compute: flops must be in [0, 2^64)");
   double duration = flops;  // t_c = 1 multiply-add unit
   if (injector_) {
     check_alive(pid);
     duration = flops * injector_->slowdown(pid);  // straggler runs slower
   }
-  record(pid, TraceEvent::Kind::kCompute, st.clock, st.clock + duration);
-  if (duration > 0.0 && causal_on(pid)) {
-    PathTerms terms;
-    terms.compute = duration;
-    // Straggler clock-rate inflation is the fault slice of a compute span.
-    causal_->chain(pid, CausalGraph::Kind::kCompute, current_phase(), st.clock,
-                   st.clock + duration, terms, duration - flops);
-  }
+  const double start = stats_[pid].clock;
+  // Straggler clock-rate inflation is the fault slice of a compute span.
+  PhaseStats& cell =
+      charge(pid, Kind::kCompute, start, start + duration, duration, [&] {
+        return Explanation{{.compute = duration}, duration - flops, {}};
+      });
   ++events_;
-  st.clock += duration;
-  st.compute_time += duration;
-  st.flops += static_cast<std::uint64_t>(flops);
-  if (aggregate_) {
-    auto& cell = phase_total(current_phase());
-    cell.compute_time += duration;
-    cell.flops += static_cast<std::uint64_t>(flops);
-  } else {
-    auto& cell = phase_cell(current_phase(), pid);
-    cell.compute_time += duration;
-    cell.flops += static_cast<std::uint64_t>(flops);
-    chain_cell(pid).compute += duration;
-  }
+  stats_[pid].flops += static_cast<std::uint64_t>(flops);
+  cell.flops += static_cast<std::uint64_t>(flops);
   check_deadline(pid);
 }
 
@@ -336,20 +398,22 @@ void SimMachine::exchange(std::vector<Message> messages) {
   rs.msg_startup.assign(messages.size(), 0.0);
   rs.msg_word.assign(messages.size(), 0.0);
   rs.msg_other.assign(messages.size(), 0.0);
+  rs.msg_ideal.assign(messages.size(), 0.0);
   events_ += messages.size();
   for (std::size_t i = 0; i < messages.size(); ++i) {
     auto& m = messages[i];
-    if (causal_) {
+    if (log_) {
       // Span context travels with the payload (and with every retransmission
       // of it): the sender's head at send time is the span this message
       // causally depends on. Heads only mutate in the participant loop
       // below, so this snapshot is the pre-round chain — exactly what a
       // waiting receiver adopts.
-      m.span.trace = causal_->trace_id();
-      m.span.parent = causal_->head(m.src);
-      m.span.hop = causal_->hop(m.src) + 1;
+      m.span.trace = log_->trace_id();
+      m.span.parent = log_->head(m.src);
+      m.span.hop = log_->hop(m.src) + 1;
     }
     double cost = message_cost(m, rs.load_factor[i]);
+    rs.msg_ideal[i] = cost;
     double busy = cost, span = cost, arrival_delay = 0.0;
     if (injector_) {
       cost *= injector_->slowdown(m.src);  // a straggler's sends run slower
@@ -402,14 +466,10 @@ void SimMachine::exchange(std::vector<Message> messages) {
     rs.msg_startup[i] = std::min(message_startup(m), busy);
     rs.msg_word[i] = busy - rs.msg_startup[i];
     rs.msg_other[i] = (span + arrival_delay) - busy;
-    if (aggregate_) {
-      auto& totals = phase_total(cur);
-      totals.messages_sent += 1;
-      totals.words_sent += m.words();
-    } else {
-      auto& pcell = phase_cell(cur, m.src);
-      pcell.messages_sent += 1;
-      pcell.words_sent += m.words();
+    auto& pcell = phase_cell(m.src);
+    pcell.messages_sent += 1;
+    pcell.words_sent += m.words();
+    if (!aggregate_) {
       const unsigned hops = topology_->hops(m.src, m.dst);
       h_msg_words_->observe(static_cast<double>(m.words()));
       h_msg_hops_->observe(static_cast<double>(hops));
@@ -419,6 +479,15 @@ void SimMachine::exchange(std::vector<Message> messages) {
     c_words_->add(m.words());
     if (traffic_on_) traffic_.add(m.src, m.dst, m.words());
   }
+  // What a waiting receiver's transfer span explains: the startup, word
+  // and other slices of the message that set its arrival.
+  const auto transfer_terms = [&rs](std::size_t mi) {
+    PathTerms t;
+    t.startup = rs.msg_startup[mi];
+    t.word = rs.msg_word[mi];
+    t.other = rs.msg_other[mi];
+    return t;
+  };
   // Receivers that end up waiting adopt the chain that produced their
   // arrival: the sender's pre-round decomposition plus this message's cost,
   // attributed to the phase open now (snapshot the chains before the
@@ -431,99 +500,55 @@ void SimMachine::exchange(std::vector<Message> messages) {
       chain.clear();
       const std::size_t mi = rs.arrival_msg[pid];
       if (mi == kNoMessage) continue;
-      const Message& m = messages[mi];
-      chain = chain_[m.src];
+      chain = chain_[messages[mi].src];
       if (chain.size() <= cur) chain.resize(cur + 1u);
-      chain[cur].startup += rs.msg_startup[mi];
-      chain[cur].word += rs.msg_word[mi];
-      chain[cur].other += rs.msg_other[mi];
+      chain[cur] += transfer_terms(mi);
     }
   }
   for (std::size_t k = 0; k < rs.participants.size(); ++k) {
     const ProcId pid = rs.participants[k];
-    auto& st = stats_[pid];
-    const double busy_until = st.clock + rs.send_busy[pid];
-    record(pid, TraceEvent::Kind::kSend, st.clock, busy_until);
-    st.comm_time += rs.send_busy[pid];
-    if (aggregate_) {
-      phase_total(cur).comm_time += rs.send_busy[pid];
-    } else {
-      phase_cell(cur, pid).comm_time += rs.send_busy[pid];
-      if (rs.busiest_msg[pid] != kNoMessage) {
-        const std::size_t mi = rs.busiest_msg[pid];
-        auto& cell = chain_cell(pid);
-        cell.startup += rs.msg_startup[mi];
-        cell.word += rs.msg_word[mi];
-      }
-    }
-    if (rs.busiest_msg[pid] != kNoMessage && causal_on(pid)) {
-      // Mirror of the chain_cell update above, but capture-mode independent:
-      // the sender's clock advance is explained by its busiest message.
-      // Retransmission busy time and straggler send inflation exceed the
-      // fault-free message cost — that excess is the span's fault slice.
+    const double t0 = stats_[pid].clock;
+    // The sender is busy for its busiest message, whose cost explains the
+    // clock advance (a positive busy time implies one). Retransmission busy
+    // time and straggler send inflation beyond the fault-free cost are the
+    // span's fault slice.
+    double next = t0 + rs.send_busy[pid];
+    charge(pid, Kind::kSend, t0, next, rs.send_busy[pid], [&] {
       const std::size_t mi = rs.busiest_msg[pid];
-      PathTerms terms;
-      terms.startup = rs.msg_startup[mi];
-      terms.word = rs.msg_word[mi];
-      const double ideal = message_cost(messages[mi], rs.load_factor[mi]);
-      causal_->chain(pid, CausalGraph::Kind::kSend, cur, st.clock, busy_until,
-                     terms, std::max(0.0, rs.send_busy[pid] - ideal));
-    }
-    double next = busy_until;
+      return Explanation{
+          {.startup = rs.msg_startup[mi], .word = rs.msg_word[mi]},
+          std::max(0.0, rs.send_busy[pid] - rs.msg_ideal[mi]),
+          {}};
+    });
     if (rs.send_span[pid] > rs.send_busy[pid]) {
-      // Timeout-and-retransmit overhead beyond the pure transfer time.
-      const double span_until = st.clock + rs.send_span[pid];
-      record(pid, TraceEvent::Kind::kRetry, next, span_until);
-      st.idle_time += span_until - next;
-      if (aggregate_) {
-        phase_total(cur).idle_time += span_until - next;
-      } else {
-        phase_cell(cur, pid).idle_time += span_until - next;
-        chain_cell(pid).other += span_until - next;
-      }
-      if (causal_on(pid)) {
-        // Timeout gaps between retransmissions: pure fault overhead.
-        PathTerms terms;
-        terms.other = span_until - next;
-        causal_->chain(pid, CausalGraph::Kind::kRetry, cur, next, span_until,
-                       terms, span_until - next);
-      }
+      // Timeout gaps between retransmissions: pure fault overhead.
+      const double span_until = t0 + rs.send_span[pid];
+      const double gap = span_until - next;
+      charge(pid, Kind::kRetry, next, span_until, gap, [gap] {
+        return Explanation{{.other = gap}, gap, {}};
+      });
       next = span_until;
     }
     if (rs.arrival_max[pid] > next) {
-      record(pid, TraceEvent::Kind::kWait, next, rs.arrival_max[pid]);
-      st.idle_time += rs.arrival_max[pid] - next;
-      if (aggregate_) {
-        phase_total(cur).idle_time += rs.arrival_max[pid] - next;
-      } else {
-        phase_cell(cur, pid).idle_time += rs.arrival_max[pid] - next;
-        // The wait ends at the arrival: pid's clock is now explained by the
-        // producing chain; swapping recycles the old chain's buffer.
-        if (rs.arrival_msg[pid] != kNoMessage) {
-          chain_[pid].swap(rs.adopted[k]);
-        }
-      }
-      if (rs.arrival_msg[pid] != kNoMessage && causal_on(pid)) {
-        // The transfer span is the cross-processor edge: its pred is the
-        // sender's pre-round head (carried on the wire), and adopting it as
-        // pid's head mirrors the chain_ adoption above in both capture
-        // modes. Timeouts, delays and send inflation put the span past the
-        // fault-free message cost — that excess is the fault slice.
-        const std::size_t mi = rs.arrival_msg[pid];
-        const Message& m = messages[mi];
-        PathTerms terms;
-        terms.startup = rs.msg_startup[mi];
-        terms.word = rs.msg_word[mi];
-        terms.other = rs.msg_other[mi];
-        const double span_time = terms.startup + terms.word + terms.other;
-        const double ideal = message_cost(m, rs.load_factor[mi]);
-        causal_->adopt(pid, m.span.parent, m.span.hop, cur,
-                       rs.arrival_max[pid] - span_time, rs.arrival_max[pid],
-                       terms, std::max(0.0, span_time - ideal));
-      }
-      next = rs.arrival_max[pid];
+      // The wait ends at the arrival (which set arrival_msg): pid's clock
+      // is now explained by the producing chain. The transfer span's pred
+      // is the sender's pre-round head, carried on the wire. Timeouts,
+      // delays and send inflation put the transfer past the fault-free
+      // message cost; that excess is the fault slice.
+      charge(pid, Kind::kTransfer, next, rs.arrival_max[pid],
+             rs.arrival_max[pid] - next, [&] {
+               const std::size_t mi = rs.arrival_msg[pid];
+               const PathTerms moved = transfer_terms(mi);
+               const double transfer =
+                   moved.startup + moved.word + moved.other;
+               const SpanContext& ctx = messages[mi].span;
+               return Explanation{moved,
+                                  std::max(0.0, transfer - rs.msg_ideal[mi]),
+                                  {ctx.parent, ctx.hop}};
+             });
+      // Swapping recycles the old chain's buffer.
+      if (!aggregate_) chain_[pid].swap(rs.adopted[k]);
     }
-    st.clock = next;
     check_deadline(pid);
   }
   // Deliver payloads.
@@ -620,54 +645,45 @@ void SimMachine::check_alive(ProcId pid) const {
   }
 }
 
+template <class Pids>
+SimMachine::Adoption SimMachine::adoption_at(const Pids& pids,
+                                             double t) const {
+  for (const ProcId pid : pids) {
+    if (stats_[pid].clock != t) continue;
+    Adoption a;
+    if (!aggregate_) a.chain = chain_[pid];
+    if (log_) a.edge = log_->edge_from(pid);
+    return a;
+  }
+  return {};
+}
+
+void SimMachine::wait_until(ProcId pid, double t, const Adoption& a) {
+  const double clock = stats_[pid].clock;
+  if (t <= clock) return;
+  charge(pid, Kind::kWait, clock, t, t - clock,
+         [&a] { return Explanation{{}, 0.0, a.edge}; });
+  // pid's clock is now explained by the chain it waited for; head adoption
+  // is pure metadata, so it applies to unsampled processors too.
+  if (!aggregate_) chain_[pid] = a.chain;
+  if (log_) log_->set_head(pid, a.edge.pred);
+}
+
 double SimMachine::synchronize() {
   const double t = time();
   // Barrier laggards adopt the chain of the processor that set the barrier
   // time — their clock is now explained by its critical path.
-  const PhaseId cur = current_phase();
-  std::vector<PathTerms> crit_chain;
-  if (!aggregate_) {
-    for (ProcId pid = 0; pid < procs(); ++pid) {
-      if (stats_[pid].clock == t) {
-        crit_chain = chain_[pid];
-        break;
-      }
-    }
-  }
-  std::uint32_t crit_head = CausalGraph::kNoSpan;
-  if (causal_) {
-    for (ProcId pid = 0; pid < procs(); ++pid) {
-      if (stats_[pid].clock == t) {
-        crit_head = causal_->head(pid);
-        break;
-      }
-    }
-  }
-  for (ProcId pid = 0; pid < procs(); ++pid) {
-    auto& st = stats_[pid];
-    record(pid, TraceEvent::Kind::kWait, st.clock, t);
-    st.idle_time += t - st.clock;
-    if (t > st.clock) {
-      if (aggregate_) {
-        phase_total(cur).idle_time += t - st.clock;
-      } else {
-        phase_cell(cur, pid).idle_time += t - st.clock;
-        chain_[pid] = crit_chain;
-      }
-      // Barrier laggards' clocks are explained by the barrier-setting
-      // chain; head adoption is pure metadata, so it applies to unsampled
-      // processors too (their own spans just were not recorded).
-      if (causal_) causal_->set_head(pid, crit_head);
-    }
-    st.clock = t;
-  }
+  const Adoption a = adoption_at(
+      std::views::iota(ProcId{0}, static_cast<ProcId>(procs())), t);
+  for (ProcId pid = 0; pid < procs(); ++pid) wait_until(pid, t, a);
   return t;
 }
 
 void SimMachine::charge_group_comm(std::span<const ProcId> group,
                                    double time_cost,
                                    std::uint64_t words_per_member) {
-  require(time_cost >= 0.0, "charge_group_comm: negative time");
+  require(std::isfinite(time_cost) && time_cost >= 0.0,
+          "SimMachine::charge_group_comm: time must be finite and >= 0");
   double start = 0.0;
   for (ProcId pid : group) {
     require(pid < procs(), "charge_group_comm: pid out of range");
@@ -675,66 +691,21 @@ void SimMachine::charge_group_comm(std::span<const ProcId> group,
   }
   // As at a barrier, members that wait for the group's latest processor
   // adopt its chain; the modeled charge itself then lands on everyone.
-  const PhaseId cur = current_phase();
-  std::vector<PathTerms> crit_chain;
-  if (!aggregate_) {
-    for (ProcId pid : group) {
-      if (stats_[pid].clock == start) {
-        crit_chain = chain_[pid];
-        break;
-      }
-    }
-  }
-  std::uint32_t crit_head = CausalGraph::kNoSpan;
-  if (causal_) {
-    for (ProcId pid : group) {
-      if (stats_[pid].clock == start) {
-        crit_head = causal_->head(pid);
-        break;
-      }
-    }
-  }
+  const Adoption a = adoption_at(group, start);
   events_ += group.size();
+  const auto explain = [time_cost] {
+    return Explanation{{.modeled = time_cost}, 0.0, {}};
+  };
   for (ProcId pid : group) {
-    auto& st = stats_[pid];
-    if (start > st.clock) {
-      record(pid, TraceEvent::Kind::kWait, st.clock, start);
-      st.idle_time += start - st.clock;
-      if (aggregate_) {
-        phase_total(cur).idle_time += start - st.clock;
-      } else {
-        phase_cell(cur, pid).idle_time += start - st.clock;
-        chain_[pid] = crit_chain;
-      }
-      if (causal_) causal_->set_head(pid, crit_head);
-    }
-    if (time_cost > 0.0 && causal_on(pid)) {
-      PathTerms terms;
-      terms.modeled = time_cost;
-      causal_->chain(pid, CausalGraph::Kind::kModeled, cur, start,
-                     start + time_cost, terms, 0.0);
-    }
-    record(pid, TraceEvent::Kind::kModeledComm, start, start + time_cost);
-    st.comm_time += time_cost;
+    wait_until(pid, start, a);
+    PhaseStats& cell = charge(pid, Kind::kModeled, start, start + time_cost,
+                              time_cost, explain);
     if (words_per_member > 0) {
-      st.messages_sent += 1;
-      st.words_sent += words_per_member;
+      stats_[pid].messages_sent += 1;
+      stats_[pid].words_sent += words_per_member;
+      cell.messages_sent += 1;
+      cell.words_sent += words_per_member;
     }
-    if (aggregate_) {
-      phase_total(cur).comm_time += time_cost;
-      if (words_per_member > 0) {
-        phase_total(cur).messages_sent += 1;
-        phase_total(cur).words_sent += words_per_member;
-      }
-    } else {
-      phase_cell(cur, pid).comm_time += time_cost;
-      chain_cell(pid).modeled += time_cost;
-      if (words_per_member > 0) {
-        phase_cell(cur, pid).messages_sent += 1;
-        phase_cell(cur, pid).words_sent += words_per_member;
-      }
-    }
-    st.clock = start + time_cost;
     check_deadline(pid);
   }
 }
@@ -782,7 +753,6 @@ std::uint64_t SimMachine::approx_footprint_bytes() const noexcept {
       total += static_cast<std::uint64_t>(block.size()) * sizeof(double);
     }
   }
-  total += vec_bytes(trace_events_);
   total += vec_bytes(phase_totals_);
   for (const auto& row : phase_stats_) total += vec_bytes(row);
   total += vec_bytes(phase_stats_);
@@ -795,13 +765,13 @@ std::uint64_t SimMachine::approx_footprint_bytes() const noexcept {
            vec_bytes(scratch_.participants) + vec_bytes(scratch_.load_factor) +
            vec_bytes(scratch_.deliver) + vec_bytes(scratch_.deliver_dup) +
            vec_bytes(scratch_.msg_startup) + vec_bytes(scratch_.msg_word) +
-           vec_bytes(scratch_.msg_other);
+           vec_bytes(scratch_.msg_other) + vec_bytes(scratch_.msg_ideal);
   for (const auto& row : scratch_.adopted) total += vec_bytes(row);
   total += vec_bytes(scratch_.adopted);
   // Sparse traffic cells: unordered_map node ~= key + value + bucket/next
   // pointers. 56 bytes is the usual libstdc++ figure for a 16-byte payload.
   total += static_cast<std::uint64_t>(traffic_.links_used()) * 56;
-  if (causal_) total += causal_->approx_bytes();
+  if (log_) total += log_->approx_bytes();
   return total;
 }
 
@@ -824,7 +794,6 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
     r.max_peak_words = std::max(r.max_peak_words, st.peak_words_stored);
   }
   r.faults = fault_stats_;
-  r.engine_footprint_bytes = approx_footprint_bytes();
   if (keep_proc_stats) r.procs = stats_;
   // Phase table + critical-path decomposition. The first processor whose
   // clock attains T_p carries a complete dependency chain for the run (its
@@ -859,11 +828,7 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
       }
     }
     if (ph < crit_chain.size()) b.path = crit_chain[ph];
-    r.critical_path.compute += b.path.compute;
-    r.critical_path.startup += b.path.startup;
-    r.critical_path.word += b.path.word;
-    r.critical_path.modeled += b.path.modeled;
-    r.critical_path.other += b.path.other;
+    r.critical_path += b.path;
     // Drop the unattributed row when nothing happened outside a phase.
     if (ph == 0 && b.path.total() == 0.0 && b.max_compute_time == 0.0 &&
         b.max_comm_time == 0.0 && b.max_idle_time == 0.0 && b.flops == 0 &&
@@ -891,7 +856,7 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
     }
     e.inbox_pending = pending_;
     e.inbox_high_water = pending_high_water_;
-    e.arena_bytes = r.engine_footprint_bytes;
+    e.arena_bytes = approx_footprint_bytes();
     e.events = events_;
     e.events_per_vtime =
         r.t_parallel > 0.0 ? static_cast<double>(events_) / r.t_parallel : 0.0;
@@ -908,9 +873,9 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
       e.pool_items = wp.items;
       e.pool_busy_seconds = wp.busy_seconds;
     }
-    if (causal_) {
-      e.causal_spans = causal_->spans().size();
-      e.causal_bytes = causal_->approx_bytes();
+    if (log_) {
+      e.causal_spans = log_->spans().size();
+      e.causal_bytes = log_->approx_bytes();
     }
     // Exported snapshot: the run's registry plus the telemetry as engine.*
     // gauges, so --metrics-out and the Prometheus exposition carry them.
@@ -932,7 +897,7 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
       gset("engine.pool.items", static_cast<double>(e.pool_items));
       gset("engine.pool.busy_seconds", e.pool_busy_seconds);
     }
-    if (causal_) {
+    if (log_) {
       gset("engine.causal.spans", static_cast<double>(e.causal_spans));
       gset("engine.causal.bytes", static_cast<double>(e.causal_bytes));
     }
@@ -941,25 +906,28 @@ RunReport SimMachine::report(std::string algorithm, std::size_t n,
   // happens-before DAG itself (independent of the chain_ bookkeeping), and
   // the fault-bearing spans on it. Only a complete DAG (trace_sample >= 1)
   // yields a well-defined path.
-  if (causal_) {
+  if (const CausalGraph* dag = causal()) {
     r.causal.enabled = true;
-    r.causal.complete = causal_->complete();
-    r.causal.spans = causal_->spans().size();
-    r.causal.bytes = causal_->approx_bytes();
-    if (causal_->complete()) {
-      const auto cp = causal_->critical_path(crit);
+    r.causal.complete = dag->complete();
+    if (dag->complete()) {
+      const auto cp = dag->critical_path(crit);
       r.causal.path_spans = cp.spans.size();
       r.causal.measured = cp.terms;
       r.causal.fault_overhead = cp.fault_overhead;
       for (const std::uint32_t idx : cp.spans) {
-        const auto& s = causal_->spans()[idx];
+        const auto& s = dag->spans()[idx];
         if (s.fault_overhead <= 0.0) continue;
         CausalSpanNote note;
         note.kind = std::string(CausalGraph::kind_name(s.kind));
         note.pid = s.pid;
         note.phase = s.phase < phase_names_.size() ? phase_names_[s.phase]
                                                    : std::string();
-        note.start = s.start;
+        // A transfer span covers the receiver's wait; the note names the
+        // message's own flight, which ends at the arrival.
+        note.start = s.kind == Kind::kTransfer
+                         ? s.end - (s.terms.startup + s.terms.word +
+                                    s.terms.other)
+                         : s.start;
         note.end = s.end;
         note.overhead = s.fault_overhead;
         r.causal.fault_spans.push_back(std::move(note));
@@ -989,7 +957,6 @@ void SimMachine::reset() {
     scratch_.in_round[pid] = 0;
   }
   scratch_.participants.clear();
-  trace_events_.clear();
   fault_stats_ = FaultStats{};
   exchange_round_ = 0;
   phase_names_.assign(1, std::string());
@@ -997,7 +964,7 @@ void SimMachine::reset() {
   phase_stats_.clear();
   phase_totals_.clear();
   for (auto& row : chain_) row.clear();
-  if (causal_) causal_->reset();
+  if (log_) log_->reset();
   pending_high_water_ = 0;
   events_ = 0;
   wall_start_ = std::chrono::steady_clock::now();

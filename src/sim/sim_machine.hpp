@@ -204,14 +204,17 @@ class SimMachine {
   bool traffic_captured() const noexcept { return traffic_on_; }
 
   /// The happens-before span DAG recorded this run, or null unless
-  /// MachineParams::causal was set (sim/causal.hpp). Recording honours the
-  /// trace_sample gate and is independent of the metrics capture mode, so
-  /// the DAG is byte-identical across kFull/kAggregate and host threads.
-  const CausalGraph* causal() const noexcept { return causal_.get(); }
+  /// MachineParams::causal was set (sim/causal.hpp). It is the DAG view of
+  /// the run's span log. Recording honours the trace_sample gate and is
+  /// independent of the metrics capture mode, so the DAG is byte-identical
+  /// across kFull/kAggregate and host threads.
+  const CausalGraph* causal() const noexcept {
+    return params_.causal ? log_.get() : nullptr;
+  }
 
   /// Approximate resident bytes of the simulator state itself: processor
   /// stats, inboxes (including buffered payload words), phase/chain
-  /// accounting, round scratch, trace events and the traffic matrix.
+  /// accounting, round scratch, the span log and the traffic matrix.
   /// Intended for the bytes-per-processor scalability sweeps (bench/
   /// sim_extreme.cpp); container overheads are estimated, not measured.
   std::uint64_t approx_footprint_bytes() const noexcept;
@@ -222,12 +225,14 @@ class SimMachine {
 
   /// Record per-processor timelines (compute/send/wait spans) for Gantt
   /// rendering and utilization analysis. Off by default (zero overhead).
-  void enable_tracing(bool on = true) { tracing_ = on; }
+  /// Turning it on keeps the span log and adds barrier and group waits to
+  /// it; turning it off without MachineParams::causal drops the log.
+  void enable_tracing(bool on = true);
   bool tracing() const noexcept { return tracing_; }
 
-  /// The recorded timeline (empty unless enable_tracing() was called before
-  /// the run).
-  Trace trace() const { return Trace(procs(), trace_events_, phase_names_); }
+  /// The recorded timeline: the timeline view of the span log (empty
+  /// unless enable_tracing() was called before the run).
+  Trace trace() const;
 
   /// Reset clocks, counters, inboxes and the trace.
   void reset();
@@ -236,21 +241,51 @@ class SimMachine {
   double message_cost(const Message& m, unsigned contention_load) const;
   /// The startup slice (t_s plus hop latency) of a message's base cost.
   double message_startup(const Message& m) const;
-  PhaseStats& phase_cell(PhaseId phase, ProcId pid);
-  /// Whole-machine per-phase totals (aggregate capture mode only).
-  PhaseStats& phase_total(PhaseId phase);
+  /// pid's accounting cell for the currently open phase: its own cell
+  /// under full capture, the phase's whole-machine total under aggregate.
+  PhaseStats& phase_cell(ProcId pid);
   /// pid's critical-path cell for the currently open phase.
   PathTerms& chain_cell(ProcId pid);
   /// Seeded per-pid trace-sampling decision (stateless splitmix64 hash).
   bool trace_sampled(ProcId pid) const noexcept;
-  /// Whether causal spans are recorded for pid this run.
-  bool causal_on(ProcId pid) const noexcept {
-    return causal_ != nullptr && (trace_all_ || trace_sampled(pid));
+  /// Whether the span log records pid's intervals this run.
+  bool logged(ProcId pid) const noexcept {
+    return log_ != nullptr && (trace_all_ || trace_sampled(pid));
   }
+
+  using Kind = CausalGraph::Kind;
+  /// What an interval contributes beyond its time: its critical-path
+  /// terms, the fault slice of its span and, for a transfer or wait, the
+  /// span it waited on.
+  struct Explanation {
+    PathTerms terms;
+    double fault_overhead = 0.0;
+    CausalGraph::Edge from;
+  };
+  /// The one write path of a clock advance: pid's clock moves to `end`,
+  /// `duration` lands in the time field of `kind` (compute; comm for send
+  /// and modeled; idle for retry, transfer and wait) of pid's ProcStats and
+  /// phase cell. A positive duration is also explained: its terms go to
+  /// pid's chain cell (full capture; a transfer or wait adopts a chain
+  /// instead) and one span goes to the log when pid is sampled (a wait
+  /// only with a trace on). `explain()` returns the Explanation and runs
+  /// only then, so a run that keeps neither never reads the per-message
+  /// state behind it. Returns the phase cell for flops/messages/words.
+  template <class Explain>
+  PhaseStats& charge(ProcId pid, Kind kind, double start, double end,
+                     double duration, const Explain& explain);
+  /// What a processor that waited for a barrier or group adopts: the chain
+  /// (full capture) and head of the first of `pids` whose clock is `t`.
+  struct Adoption {
+    std::vector<PathTerms> chain;
+    CausalGraph::Edge edge;
+  };
+  template <class Pids>
+  Adoption adoption_at(const Pids& pids, double t) const;
+  /// Charge pid's wait until `t` (if any) and adopt `a`.
+  void wait_until(ProcId pid, double t, const Adoption& a);
   /// Append a delivered message to dst's inbox queue in the flat arena.
   void inbox_push(ProcId dst, Message&& m);
-  void record(ProcId pid, TraceEvent::Kind kind, double start, double end,
-              std::uint64_t words = 0);
   /// Throws ProcessorFailure if pid's clock has reached its fail-stop time.
   void check_alive(ProcId pid) const;
   /// Throws DeadlineExceeded if a deadline is set and pid's clock passed it.
@@ -319,6 +354,9 @@ class SimMachine {
     std::vector<unsigned> load_factor;
     std::vector<std::uint8_t> deliver, deliver_dup;
     std::vector<double> msg_startup, msg_word, msg_other;
+    /// Fault-free cost of each message: what send and transfer spans'
+    /// fault slices are measured against.
+    std::vector<double> msg_ideal;
     /// Adopted chains, parallel to `participants` (full capture only).
     std::vector<std::vector<PathTerms>> adopted;
   };
@@ -330,7 +368,6 @@ class SimMachine {
   /// path). Otherwise trace_threshold_ is the 64-bit acceptance bound.
   bool trace_all_ = true;
   std::uint64_t trace_threshold_ = 0;
-  std::vector<TraceEvent> trace_events_;
   /// Non-null only when params_.faults is an active plan; see fault.hpp.
   std::unique_ptr<FaultInjector> injector_;
   FaultStats fault_stats_;
@@ -352,10 +389,10 @@ class SimMachine {
   /// clock (waiting receivers and barrier laggards adopt the chain of the
   /// processor they waited on), so Sum over phases == clock for every pid.
   std::vector<std::vector<PathTerms>> chain_;
-  /// Non-null only when params_.causal: the happens-before span DAG. Its
-  /// hooks mirror the chain_ adoption logic exactly but run in both capture
-  /// modes (the DAG is the aggregate mode's only critical-path record).
-  std::unique_ptr<CausalGraph> causal_;
+  /// The span log: non-null only when tracing or params_.causal. It runs
+  /// in both capture modes (the DAG is the aggregate mode's only
+  /// critical-path record), and the trace timeline is a view of it.
+  std::unique_ptr<CausalGraph> log_;
   MetricsRegistry metrics_;
   /// Hot-path instruments resolved once at construction — a map lookup per
   /// message would dominate at extreme p. MetricsRegistry guarantees

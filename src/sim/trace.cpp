@@ -133,8 +133,7 @@ void Trace::write_chrome(std::ostream& os) const {
        << ",\"cat\":" << json_quote(to_string(e.kind))
        << ",\"ph\":\"X\",\"ts\":" << json_number(e.start)
        << ",\"dur\":" << json_number(e.duration()) << ",\"pid\":0,\"tid\":"
-       << e.pid << ",\"args\":{\"words\":" << e.words
-       << ",\"phase\":" << json_quote(phase) << "}}";
+       << e.pid << ",\"args\":{\"phase\":" << json_quote(phase) << "}}";
   }
   os << "]}\n";
 }

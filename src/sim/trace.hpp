@@ -9,8 +9,8 @@
 
 namespace hpmm {
 
-/// One timed activity on one simulated processor, recorded when tracing is
-/// enabled on a SimMachine.
+/// One timed activity on one simulated processor: the timeline view of one
+/// span of a SimMachine's span log, recorded when tracing is enabled.
 struct TraceEvent {
   enum class Kind : std::uint8_t {
     kCompute,      ///< charged multiply-add work
@@ -23,7 +23,6 @@ struct TraceEvent {
   Kind kind = Kind::kCompute;
   double start = 0.0;
   double end = 0.0;
-  std::uint64_t words = 0;  ///< payload words for kSend/kModeledComm
   /// Index into Trace::phase_names(); 0 is the unattributed default phase.
   std::uint16_t phase = 0;
 
@@ -73,7 +72,7 @@ class Trace {
 
   /// Chrome-trace / Perfetto JSON export: one complete "X" duration event
   /// per TraceEvent (tid = simulated processor, name = phase when tagged,
-  /// kind otherwise; words and phase under "args"), loadable in
+  /// kind otherwise; phase under "args"), loadable in
   /// chrome://tracing or ui.perfetto.dev.
   void write_chrome(std::ostream& os) const;
 

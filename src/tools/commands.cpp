@@ -541,9 +541,9 @@ int cmd_profile(const Flags& f, std::ostream& os) {
     // totals agree to rounding (docs/observability.md).
     if (report.causal.enabled) {
       const CausalSummary& ca = report.causal;
-      s << "causal: " << ca.spans << " spans ("
-        << (ca.complete ? "complete" : "sampled") << ", " << ca.bytes
-        << " bytes)\n";
+      s << "causal: " << report.engine.causal_spans << " spans ("
+        << (ca.complete ? "complete" : "sampled") << ", "
+        << report.engine.causal_bytes << " bytes)\n";
       if (ca.complete) {
         const PathTerms& m = ca.measured;
         s << "  measured path: " << ca.path_spans << " spans, compute "

@@ -51,7 +51,7 @@ TEST(Causal, FaultFreeCannonPathMatchesModelChain) {
   const CausalSummary& ca = r.report.causal;
   ASSERT_TRUE(ca.enabled);
   ASSERT_TRUE(ca.complete);
-  EXPECT_GT(ca.spans, 0u);
+  EXPECT_GT(r.report.engine.causal_spans, 0u);
   EXPECT_GT(ca.path_spans, 0u);
   // Total and every individual term against the chain_ decomposition.
   const PathTerms& chain = r.report.critical_path;
@@ -85,32 +85,7 @@ TEST(Causal, OffByDefaultAndReportsDisabled) {
   const MatmulResult r =
       run_algo(CannonAlgorithm(), 16, 16, machines::ncube2());
   EXPECT_FALSE(r.report.causal.enabled);
-  EXPECT_EQ(r.report.causal.spans, 0u);
   EXPECT_EQ(r.report.engine.causal_spans, 0u);
-}
-
-// ----- capture-mode independence --------------------------------------------
-
-TEST(Causal, AggregateCaptureBuildsTheSameMeasuredPath) {
-  // chain_ (the model-term chain) is full-capture only; the causal DAG must
-  // reconcile against T_p in both capture modes and agree exactly across
-  // them — the hooks are capture-mode independent by construction.
-  MachineParams full = causal_params();
-  MachineParams agg = causal_params();
-  agg.metrics_mode = MetricsMode::kAggregate;
-  const MatmulResult rf = run_algo(GkAlgorithm(), 16, 64, full);
-  const MatmulResult ra = run_algo(GkAlgorithm(), 16, 64, agg);
-  ASSERT_TRUE(ra.report.causal.enabled);
-  EXPECT_EQ(ra.report.critical_path.total(), 0.0);  // chain_ renounced
-  expect_reconciled(ra.report.causal.measured.total(), ra.report.t_parallel);
-  // Same DAG, exactly: counts, path and every measured term.
-  EXPECT_EQ(rf.report.causal.spans, ra.report.causal.spans);
-  EXPECT_EQ(rf.report.causal.path_spans, ra.report.causal.path_spans);
-  EXPECT_EQ(rf.report.causal.measured.compute, ra.report.causal.measured.compute);
-  EXPECT_EQ(rf.report.causal.measured.startup, ra.report.causal.measured.startup);
-  EXPECT_EQ(rf.report.causal.measured.word, ra.report.causal.measured.word);
-  EXPECT_EQ(rf.report.causal.measured.modeled, ra.report.causal.measured.modeled);
-  EXPECT_EQ(rf.report.causal.measured.other, ra.report.causal.measured.other);
 }
 
 TEST(Causal, SummaryIsExactlyEqualAcrossHostThreadCounts) {
@@ -120,7 +95,7 @@ TEST(Causal, SummaryIsExactlyEqualAcrossHostThreadCounts) {
   four.exec.threads = 4;
   const MatmulResult r1 = run_algo(CannonAlgorithm(), 16, 16, one);
   const MatmulResult r4 = run_algo(CannonAlgorithm(), 16, 16, four);
-  EXPECT_EQ(r1.report.causal.spans, r4.report.causal.spans);
+  EXPECT_EQ(r1.report.engine.causal_spans, r4.report.engine.causal_spans);
   EXPECT_EQ(r1.report.causal.path_spans, r4.report.causal.path_spans);
   EXPECT_EQ(r1.report.causal.measured.total(), r4.report.causal.measured.total());
   EXPECT_EQ(r1.report.causal.fault_overhead, r4.report.causal.fault_overhead);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/registry.hpp"
 #include "machine/params.hpp"
@@ -142,6 +144,36 @@ TEST(ErrorPaths, ChargeGroupCommValidatesMembers) {
 TEST(ErrorPaths, NegativeComputeIsRejected) {
   auto m = make_machine(1);
   EXPECT_THROW(m.compute(0, -5.0), PreconditionError);
+}
+
+TEST(ErrorPaths, NonFiniteAndHugeChargesAreRejected) {
+  // Booking these would cast a non-finite or >= 2^64 double to uint64 (UB)
+  // or make T_p infinite; each must fail naming the function and leave the
+  // machine untouched.
+  auto m = make_machine(1);
+  const std::vector<ProcId> group = {0, 1};
+  const auto rejects = [](const auto& call, const std::string& fn) {
+    try {
+      call();
+      ADD_FAILURE() << fn << " accepted the charge";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find(fn), std::string::npos) << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double flops : {inf, nan, 1e30, 18446744073709551616.0}) {
+    rejects([&] { m.compute(0, flops); }, "SimMachine::compute");
+  }
+  for (const double time : {inf, -inf, nan}) {
+    rejects([&] { m.charge_group_comm(group, time); },
+            "SimMachine::charge_group_comm");
+  }
+  EXPECT_EQ(m.time(), 0.0);
+  EXPECT_EQ(m.stats(0).flops, 0u);
+  // The largest representable count below 2^64 is still booked exactly.
+  m.compute(1, 18446744073709549568.0);
+  EXPECT_EQ(m.stats(1).flops, 18446744073709549568ull);
 }
 
 }  // namespace

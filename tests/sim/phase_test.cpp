@@ -198,26 +198,6 @@ TEST(Phase, ChainSumsToClockForEveryProcessor) {
               1e-9 * (1.0 + r.t_parallel));
 }
 
-TEST(Phase, AttributionIsBitIdentityNeutral) {
-  // Tracing on/off and phases must not perturb any simulated quantity.
-  Rng rng(7);
-  const Matrix a = random_matrix(16, 16, rng);
-  const Matrix b = random_matrix(16, 16, rng);
-  const auto& cannon = default_registry().implementation("cannon");
-  MachineParams mp = test_params();
-  const auto plain = cannon.run(a, b, 16, mp);
-  mp.trace = true;
-  const auto traced = cannon.run(a, b, 16, mp);
-  EXPECT_DOUBLE_EQ(plain.report.t_parallel, traced.report.t_parallel);
-  EXPECT_EQ(plain.report.total_messages, traced.report.total_messages);
-  EXPECT_DOUBLE_EQ(max_abs_diff(plain.c, traced.c), 0.0);
-  ASSERT_EQ(plain.report.phases.size(), traced.report.phases.size());
-  for (std::size_t i = 0; i < plain.report.phases.size(); ++i) {
-    EXPECT_DOUBLE_EQ(plain.report.phases[i].path.total(),
-                     traced.report.phases[i].path.total());
-  }
-}
-
 TEST(Phase, AlgorithmsNamePaperPhases) {
   Rng rng(1);
   const Matrix a = random_matrix(16, 16, rng);

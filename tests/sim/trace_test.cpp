@@ -134,9 +134,9 @@ TEST(Trace, GanttEmptyTrace) {
 
 TEST(Trace, Validation) {
   std::vector<TraceEvent> bad{
-      TraceEvent{5, TraceEvent::Kind::kCompute, 0.0, 1.0, 0}};
+      TraceEvent{5, TraceEvent::Kind::kCompute, 0.0, 1.0}};
   EXPECT_THROW(Trace(2, bad), PreconditionError);
-  EXPECT_THROW(Trace(8, {TraceEvent{0, TraceEvent::Kind::kCompute, 2.0, 1.0, 0}}),
+  EXPECT_THROW(Trace(8, {TraceEvent{0, TraceEvent::Kind::kCompute, 2.0, 1.0}}),
                PreconditionError);
 }
 
@@ -177,17 +177,17 @@ TEST(Trace, EmptyTraceEdgeCases) {
   EXPECT_DOUBLE_EQ(t.span(), 0.0);
   EXPECT_DOUBLE_EQ(t.utilization(0), 0.0);  // span 0 -> 0, not NaN
   // All-zero-duration events still leave span and utilization at 0.
-  Trace z(1, {TraceEvent{0, TraceEvent::Kind::kCompute, 0.0, 0.0, 0}});
+  Trace z(1, {TraceEvent{0, TraceEvent::Kind::kCompute, 0.0, 0.0}});
   EXPECT_DOUBLE_EQ(z.span(), 0.0);
   EXPECT_DOUBLE_EQ(z.utilization(0), 0.0);
 }
 
 TEST(Trace, EventsOfOrdersByStartKeepingTies) {
   std::vector<TraceEvent> events;
-  events.push_back({0, TraceEvent::Kind::kSend, 5.0, 6.0, 3, 0});
-  events.push_back({1, TraceEvent::Kind::kCompute, 0.0, 1.0, 0, 0});
-  events.push_back({0, TraceEvent::Kind::kCompute, 0.0, 5.0, 0, 0});
-  events.push_back({0, TraceEvent::Kind::kWait, 5.0, 5.0, 0, 0});  // ties send
+  events.push_back({0, TraceEvent::Kind::kSend, 5.0, 6.0, 0});
+  events.push_back({1, TraceEvent::Kind::kCompute, 0.0, 1.0, 0});
+  events.push_back({0, TraceEvent::Kind::kCompute, 0.0, 5.0, 0});
+  events.push_back({0, TraceEvent::Kind::kWait, 5.0, 5.0, 0});  // ties send
   const Trace t(2, events);
   const auto of0 = t.events_of(0);
   ASSERT_EQ(of0.size(), 3u);
@@ -199,7 +199,7 @@ TEST(Trace, EventsOfOrdersByStartKeepingTies) {
 
 TEST(Trace, GanttRendersRetryGlyph) {
   std::vector<TraceEvent> events{
-      {0, TraceEvent::Kind::kRetry, 0.0, 10.0, 0, 0}};
+      {0, TraceEvent::Kind::kRetry, 0.0, 10.0, 0}};
   const Trace t(1, events);
   std::ostringstream os;
   t.print_gantt(os, 16);
@@ -228,7 +228,7 @@ TEST(Trace, WriteChromeIsValidJsonCarryingPhases) {
 
 TEST(Trace, PhaseTableValidation) {
   std::vector<TraceEvent> events{
-      {0, TraceEvent::Kind::kCompute, 0.0, 1.0, 0, 2}};  // phase 2 of 2
+      {0, TraceEvent::Kind::kCompute, 0.0, 1.0, 2}};  // phase 2 of 2
   EXPECT_THROW(Trace(1, events, {"", "align"}), PreconditionError);
   EXPECT_THROW(Trace(1, {}, {}), PreconditionError);  // no default entry
   const Trace ok(1, events, {"", "align", "shift"});

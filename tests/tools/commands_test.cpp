@@ -685,6 +685,15 @@ TEST(CliGolden, Machines) {
   EXPECT_EQ(r.out, golden("machines.txt"));
 }
 
+TEST(CliGolden, TraceChrome) {
+  // The Chrome export is the timeline view of the span log; every event's
+  // order, kind, extent and phase is pinned here.
+  const auto r = run({"hpmm", "trace", "--algorithm=gk", "--n=16", "--p=8",
+                      "--format=chrome"});
+  EXPECT_EQ(r.code, 0);
+  EXPECT_EQ(r.out, golden("trace_gk_chrome.json"));
+}
+
 // ---- hostile input: exit 1 naming the flag, never a crash -----------------
 
 TEST(Cli, OutOfRangeValuesExitOneNamingTheFlag) {

@@ -3,10 +3,13 @@
 // buckets), OTLP-style JSON validity, and byte-for-byte determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/sim_machine.hpp"
+#include "topology/hypercube.hpp"
 #include "util/error.hpp"
 #include "util/export.hpp"
 #include "util/json.hpp"
@@ -96,6 +99,18 @@ TEST(MetricsExport, PrometheusEmitsHelpTypePairsForEveryFamily) {
   }
   EXPECT_NE(text.find("hpmm_sim_messages_total 120"), std::string::npos);
   EXPECT_NE(text.find("hpmm_engine_arena_bytes 39088"), std::string::npos);
+}
+
+TEST(MetricsExport, PrometheusCarriesTheReportsOwnArenaBytes) {
+  // The engine.* gauges of a real report render the report's own telemetry
+  // (the figure itself moves with the engine's layout, so it is not pinned).
+  SimMachine m(std::make_shared<Hypercube>(2u), MachineParams{});
+  m.compute(0, 5.0);
+  const RunReport r = m.report("probe", 2, 8.0);
+  ASSERT_GT(r.engine.arena_bytes, 0u);
+  EXPECT_NE(prom(r.metrics).find("hpmm_engine_arena_bytes " +
+                                 std::to_string(r.engine.arena_bytes) + "\n"),
+            std::string::npos);
 }
 
 TEST(MetricsExport, PrometheusHistogramBucketsAreCumulativeWithInf) {
