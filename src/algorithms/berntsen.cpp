@@ -99,10 +99,10 @@ MatmulResult BerntsenAlgorithm::run(const Matrix& a, const Matrix& b,
         for (std::size_t j = 0; j < side; ++j) {
           const ProcId pid = rank(s, i, j);
           if (i != 0) {
-            a_blk[pid] = std::move(machine.receive(pid, kTagAlignA).blocks.front());
+            a_blk[pid] = std::move(machine.receive(pid, kTagAlignA).payload);
           }
           if (j != 0) {
-            b_blk[pid] = std::move(machine.receive(pid, kTagAlignB).blocks.front());
+            b_blk[pid] = std::move(machine.receive(pid, kTagAlignB).payload);
           }
         }
       }
@@ -137,8 +137,8 @@ MatmulResult BerntsenAlgorithm::run(const Matrix& a, const Matrix& b,
     machine.exchange(std::move(shift_a));
     machine.exchange(std::move(shift_b));
     for (ProcId pid = 0; pid < p; ++pid) {
-      a_blk[pid] = std::move(machine.receive(pid, kTagShiftA).blocks.front());
-      b_blk[pid] = std::move(machine.receive(pid, kTagShiftB).blocks.front());
+      a_blk[pid] = std::move(machine.receive(pid, kTagShiftA).payload);
+      b_blk[pid] = std::move(machine.receive(pid, kTagShiftB).payload);
     }
   }
 

@@ -101,7 +101,7 @@ MatmulResult CannonAlgorithm::run(const Matrix& a, const Matrix& b,
     for (std::size_t i = 1; i < sp; ++i) {
       for (std::size_t j = 0; j < sp; ++j) {
         const ProcId pid = torus.rank(i, j);
-        a_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagAlignA).blocks.front()));
+        a_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagAlignA).payload));
       }
     }
     std::vector<Message> align_b;
@@ -116,7 +116,7 @@ MatmulResult CannonAlgorithm::run(const Matrix& a, const Matrix& b,
     for (std::size_t i = 0; i < sp; ++i) {
       for (std::size_t j = 1; j < sp; ++j) {
         const ProcId pid = torus.rank(i, j);
-        b_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagAlignB).blocks.front()));
+        b_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagAlignB).payload));
       }
     }
   }
@@ -161,8 +161,8 @@ MatmulResult CannonAlgorithm::run(const Matrix& a, const Matrix& b,
     for (std::size_t i = 0; i < sp; ++i) {
       for (std::size_t j = 0; j < sp; ++j) {
         const ProcId pid = torus.rank(i, j);
-        a_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagShiftA).blocks.front()));
-        b_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagShiftB).blocks.front()));
+        a_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagShiftA).payload));
+        b_blk[i * sp + j] = unguard(std::move(machine.receive(phys(pid), kTagShiftB).payload));
       }
     }
   }

@@ -155,7 +155,7 @@ MatmulResult Cannon25DAlgorithm::run(const Matrix& a, const Matrix& b,
         for (std::size_t j = 0; j < q; ++j) {
           const ProcId dst = grid3.west(grid3.rank(i, j, l), (i + l * s) % q);
           a_blk[dst] =
-              unguard(std::move(machine.receive(dst, kTagAlignA).blocks.front()));
+              unguard(std::move(machine.receive(dst, kTagAlignA).payload));
         }
       }
     }
@@ -178,7 +178,7 @@ MatmulResult Cannon25DAlgorithm::run(const Matrix& a, const Matrix& b,
         for (std::size_t i = 0; i < q; ++i) {
           const ProcId dst = grid3.north(grid3.rank(i, j, l), (j + l * s) % q);
           b_blk[dst] =
-              unguard(std::move(machine.receive(dst, kTagAlignB).blocks.front()));
+              unguard(std::move(machine.receive(dst, kTagAlignB).payload));
         }
       }
     }
@@ -216,9 +216,9 @@ MatmulResult Cannon25DAlgorithm::run(const Matrix& a, const Matrix& b,
     machine.exchange(std::move(shift_b));
     for (ProcId pid = 0; pid < p; ++pid) {
       a_blk[pid] =
-          unguard(std::move(machine.receive(pid, kTagShiftA).blocks.front()));
+          unguard(std::move(machine.receive(pid, kTagShiftA).payload));
       b_blk[pid] =
-          unguard(std::move(machine.receive(pid, kTagShiftB).blocks.front()));
+          unguard(std::move(machine.receive(pid, kTagShiftB).payload));
     }
   }
 

@@ -104,7 +104,7 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
             const ProcId dst = rank(cur, j, t, u, v);
-            a_elem[dst] = std::move(machine.receive(dst, kTagMoveA).blocks.front());
+            a_elem[dst] = std::move(machine.receive(dst, kTagMoveA).payload);
           }
         }
       }
@@ -140,7 +140,7 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t u = 0; u < m; ++u) {
           for (std::size_t v = 0; v < m; ++v) {
             const ProcId dst = rank(cur, t, k, u, v);
-            b_elem[dst] = std::move(machine.receive(dst, kTagMoveB).blocks.front());
+            b_elem[dst] = std::move(machine.receive(dst, kTagMoveB).payload);
           }
         }
       }
@@ -237,10 +237,10 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
         for (std::size_t v = 0; v < m; ++v) {
           const ProcId pid = rank(i, j, k, u, v);
           if (u != 0) {
-            a_elem[pid] = std::move(machine.receive(pid, kTagAlignA).blocks.front());
+            a_elem[pid] = std::move(machine.receive(pid, kTagAlignA).payload);
           }
           if (v != 0) {
-            b_elem[pid] = std::move(machine.receive(pid, kTagAlignB).blocks.front());
+            b_elem[pid] = std::move(machine.receive(pid, kTagAlignB).payload);
           }
         }
       }
@@ -274,8 +274,8 @@ MatmulResult DnsAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     machine.exchange(std::move(shift_a));
     machine.exchange(std::move(shift_b));
     for (ProcId pid = 0; pid < p; ++pid) {
-      a_elem[pid] = std::move(machine.receive(pid, kTagShiftA).blocks.front());
-      b_elem[pid] = std::move(machine.receive(pid, kTagShiftB).blocks.front());
+      a_elem[pid] = std::move(machine.receive(pid, kTagShiftA).payload);
+      b_elem[pid] = std::move(machine.receive(pid, kTagShiftB).payload);
     }
   }
 

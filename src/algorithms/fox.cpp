@@ -82,7 +82,7 @@ void FoxAlgorithm::pipelined_row_broadcast(SimMachine& machine,
         if (j >= packets) continue;
         const ProcId dst = torus.rank(i, (root_col + d + 1) % sp);
         packet_store[dst][j] =
-            std::move(machine.receive(dst, kTagPacket).blocks.front());
+            std::move(machine.receive(dst, kTagPacket).payload);
       }
     }
   }
@@ -188,7 +188,7 @@ MatmulResult FoxAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
     for (std::size_t i = 0; i < sp; ++i) {
       for (std::size_t j = 0; j < sp; ++j) {
         b_blk[i * sp + j] =
-            std::move(machine.receive(rank(i, j), kTagShiftB).blocks.front());
+            std::move(machine.receive(rank(i, j), kTagShiftB).payload);
       }
     }
   }

@@ -163,7 +163,7 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
       for (std::size_t other = 0; other < s; ++other) {
         for (std::size_t t = 1; t < s; ++t) {
           const ProcId dst = target_is_k ? rank(t, other, t) : rank(t, t, other);
-          blk[dst] = unguard(std::move(machine.receive(dst, tag).blocks.front()));
+          blk[dst] = unguard(std::move(machine.receive(dst, tag).payload));
         }
       }
       return;
@@ -187,7 +187,7 @@ MatmulResult GkAlgorithm::run(const Matrix& a, const Matrix& b, std::size_t p,
           if ((t & dbit) == 0) continue;
           const std::size_t cur = (t & (dbit - 1)) | dbit;
           const ProcId dst = target_is_k ? rank(cur, other, t) : rank(cur, t, other);
-          blk[dst] = unguard(std::move(machine.receive(dst, tag).blocks.front()));
+          blk[dst] = unguard(std::move(machine.receive(dst, tag).payload));
         }
       }
     }

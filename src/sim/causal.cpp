@@ -25,6 +25,25 @@ std::string_view CausalGraph::kind_name(Kind k) noexcept {
   return "?";
 }
 
+std::uint64_t CausalGraph::Spans::bytes() const noexcept {
+  return static_cast<std::uint64_t>(chunks_.capacity()) * sizeof(chunks_[0]) +
+         static_cast<std::uint64_t>(std::max(size_, high_water_)) *
+             sizeof(Span);
+}
+
+void CausalGraph::Spans::push_back(const Span& s) {
+  const std::size_t c = size_ >> kChunkBits;
+  if (c == chunks_.size()) chunks_.emplace_back().reserve(kChunkSpans);
+  chunks_[c].push_back(s);
+  ++size_;
+}
+
+void CausalGraph::Spans::clear() noexcept {
+  for (auto& chunk : chunks_) chunk.clear();
+  high_water_ = std::max(high_water_, size_);
+  size_ = 0;
+}
+
 CausalGraph::CausalGraph(std::size_t procs, bool complete,
                          std::uint64_t trace_id)
     : complete_(complete), trace_id_(trace_id) {
@@ -53,7 +72,7 @@ void CausalGraph::append(ProcId pid, Kind kind, std::uint16_t phase,
 }
 
 std::uint64_t CausalGraph::approx_bytes() const noexcept {
-  return static_cast<std::uint64_t>(spans_.capacity()) * sizeof(Span) +
+  return spans_.bytes() +
          static_cast<std::uint64_t>(heads_.capacity()) * sizeof(heads_[0]) +
          sizeof(*this);
 }

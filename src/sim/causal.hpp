@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <string_view>
 #include <vector>
@@ -40,8 +42,9 @@ namespace hpmm {
 /// time, timeouts, in-flight delays, straggler inflation), so on a faulty
 /// run the DAG names exactly which spans stretched T_p.
 ///
-/// Storage is arena-style — one contiguous vector of 80-byte PODs plus one
-/// head index per processor — and recording honours the --trace-sample
+/// Storage is arena-style — 80-byte PODs in fixed chunks of 2^15 spans
+/// (2.5 MiB), so an append never moves a recorded span, plus one head index
+/// per processor — and recording honours the --trace-sample
 /// splitmix64 gate, so the graph stays viable at p ~ 2^20. When sampling
 /// excludes any processor the graph is incomplete (complete() == false):
 /// span counts and bytes remain meaningful, but chains crossing unsampled
@@ -76,6 +79,71 @@ class CausalGraph {
     double end = 0.0;
     PathTerms terms;  ///< model-term slice this span contributes to its chain
     double fault_overhead = 0.0;  ///< slice of terms attributable to faults
+  };
+
+  /// The log's storage, read through spans(): spans in append order, kept
+  /// in fixed chunks of kChunkSpans. A chunk's capacity is reserved whole
+  /// when its first span lands, so appending never relocates a stored span,
+  /// and pages of a chunk stay untouched until spans reach them. Only
+  /// CausalGraph appends; a copy is a read-only snapshot.
+  class Spans {
+   public:
+    static constexpr unsigned kChunkBits = 15;
+    static constexpr std::size_t kChunkSpans = std::size_t{1} << kChunkBits;
+
+    std::size_t size() const noexcept { return size_; }
+    const Span& operator[](std::size_t i) const noexcept {
+      return chunks_[i >> kChunkBits][i & (kChunkSpans - 1)];
+    }
+
+    class const_iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = Span;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const Span*;
+      using reference = const Span&;
+
+      const_iterator() = default;
+      const_iterator(const Spans* spans, std::size_t i)
+          : spans_(spans), i_(i) {}
+      reference operator*() const noexcept { return (*spans_)[i_]; }
+      pointer operator->() const noexcept { return &(*spans_)[i_]; }
+      const_iterator& operator++() noexcept {
+        ++i_;
+        return *this;
+      }
+      const_iterator operator++(int) noexcept {
+        const_iterator before = *this;
+        ++i_;
+        return before;
+      }
+      friend bool operator==(const const_iterator& a,
+                             const const_iterator& b) noexcept {
+        return a.i_ == b.i_;
+      }
+
+     private:
+      const Spans* spans_ = nullptr;
+      std::size_t i_ = 0;
+    };
+    const_iterator begin() const noexcept { return {this, 0}; }
+    const_iterator end() const noexcept { return {this, size_}; }
+
+    /// Bytes the log holds: the chunk table and every span slot written
+    /// since the chunks were reserved. A chunk's untouched pages are not
+    /// counted.
+    std::uint64_t bytes() const noexcept;
+
+   private:
+    friend class CausalGraph;
+    void push_back(const Span& s);
+    /// Forget every span, keeping the chunks for reuse.
+    void clear() noexcept;
+
+    std::vector<std::vector<Span>> chunks_;
+    std::size_t size_ = 0;
+    std::size_t high_water_ = 0;  ///< most spans held before a clear()
   };
 
   /// The span another processor's span depends on, with the number of
@@ -114,9 +182,11 @@ class CausalGraph {
               double end, const PathTerms& terms, double fault_overhead,
               Edge from);
 
-  const std::vector<Span>& spans() const noexcept { return spans_; }
+  /// Every span in append order. A span's index and address never change;
+  /// reset() reuses the chunks.
+  const Spans& spans() const noexcept { return spans_; }
 
-  /// Resident bytes of the arena and head table.
+  /// Bytes the span log holds (Spans::bytes()) plus the head table.
   std::uint64_t approx_bytes() const noexcept;
 
   struct CriticalPath {
@@ -136,7 +206,7 @@ class CausalGraph {
   void reset();
 
  private:
-  std::vector<Span> spans_;
+  Spans spans_;
   std::vector<std::uint32_t> heads_;
   bool complete_ = true;
   std::uint64_t trace_id_ = 0;

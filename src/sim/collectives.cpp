@@ -61,7 +61,7 @@ std::vector<Matrix> broadcast_binomial(SimMachine& machine,
       const std::size_t peer = v + half;
       if (peer >= g) continue;
       const std::size_t to = vrank_to_pos(peer, root_pos, g);
-      result[to] = std::move(machine.receive(group[to], tag).blocks.front());
+      result[to] = std::move(machine.receive(group[to], tag).payload);
       if (on_receive) on_receive(result[to]);
     }
   }
@@ -99,7 +99,7 @@ Matrix reduce_binomial(SimMachine& machine, std::span<const ProcId> group,
     machine.exchange(std::move(msgs));
     for (std::size_t to : receivers) {
       Message m = machine.receive(group[to], tag);
-      Matrix& partial = m.blocks.front();
+      Matrix& partial = m.payload;
       if (on_receive) on_receive(partial);
       contributions[to] += partial;
       if (add_cost_per_word > 0.0) {
@@ -139,8 +139,8 @@ std::vector<std::vector<Matrix>> all_to_all_ring(
       // After `step` forwards, position pos holds the block contributed by
       // (pos - step + g) mod g.
       const std::size_t origin = (pos + g - step) % g;
-      result[pos][origin] = m.blocks.front();
-      in_flight[pos] = std::move(m.blocks.front());
+      result[pos][origin] = m.payload;
+      in_flight[pos] = std::move(m.payload);
     }
   }
   return result;
@@ -164,20 +164,37 @@ std::vector<std::vector<Matrix>> all_to_all_recursive_doubling(
     const std::size_t bit = std::size_t{1} << s;
     std::vector<Message> msgs;
     msgs.reserve(g);
+    // Each member ships everything it has gathered as one payload: its
+    // blocks back to back in acc order, so the message's words, cost and
+    // any corrupted word are those of the blocks laid end to end.
     for (std::size_t pos = 0; pos < g; ++pos) {
       const std::size_t peer = pos ^ bit;
-      std::vector<Matrix> blocks;
-      blocks.reserve(acc[pos].size());
-      for (const auto& [origin, block] : acc[pos]) blocks.push_back(block);
-      msgs.emplace_back(group[pos], group[peer], tag, std::move(blocks));
+      std::size_t words = 0;
+      for (const auto& [origin, block] : acc[pos]) words += block.size();
+      Matrix packed(1, words);
+      double* out = packed.data().data();
+      for (const auto& [origin, block] : acc[pos]) {
+        out = std::copy(block.data().begin(), block.data().end(), out);
+      }
+      msgs.emplace_back(group[pos], group[peer], tag, std::move(packed));
     }
     machine.exchange(std::move(msgs));
     for (std::size_t pos = 0; pos < g; ++pos) {
-      Message m = machine.receive(group[pos], tag);
+      const Message m = machine.receive(group[pos], tag);
       const std::size_t peer = pos ^ bit;
-      // Peer's accumulated set has the same origin order as acc[peer].
-      for (std::size_t i = 0; i < m.blocks.size(); ++i) {
-        acc[pos].emplace_back(acc[peer][i].first, std::move(m.blocks[i]));
+      // The peer packed its first `bit` entries (all it held before this
+      // round); they name each block's origin and shape. Unreliable
+      // delivery with duplicates can hand over a stale message from an
+      // earlier round, which holds fewer blocks: unpacking stops where the
+      // payload runs out.
+      std::span<const double> in = m.payload.data();
+      for (std::size_t i = 0; i < bit && i < acc[peer].size(); ++i) {
+        const auto& [origin, shape] = acc[peer][i];
+        if (in.size() < shape.size()) break;
+        Matrix block(shape.rows(), shape.cols());
+        std::copy_n(in.begin(), block.size(), block.data().begin());
+        in = in.subspan(block.size());
+        acc[pos].emplace_back(origin, std::move(block));
       }
     }
   }
@@ -232,7 +249,7 @@ std::vector<Matrix> reduce_scatter_halving(SimMachine& machine,
     machine.exchange(std::move(msgs));
     for (std::size_t pos = 0; pos < g; ++pos) {
       Message m = machine.receive(group[pos], tag);
-      kept[pos] += m.blocks.front();
+      kept[pos] += m.payload;
       if (add_cost_per_word > 0.0) {
         machine.compute(group[pos], add_cost_per_word *
                                         static_cast<double>(kept[pos].size()));

@@ -62,7 +62,10 @@ std::vector<std::vector<Matrix>> all_to_all_ring(SimMachine& machine,
                                                  std::vector<Matrix> contributions);
 
 /// All-to-all broadcast by recursive doubling (hypercube allgather); group
-/// size must be a power of two. Cost t_s log g + t_w m (g-1).
+/// size must be a power of two. Cost t_s log g + t_w m (g-1). Each round a
+/// member sends one message: the blocks it has gathered, packed back to
+/// back into one payload; the receiver restores each block's shape.
+/// Contributions may differ in shape.
 std::vector<std::vector<Matrix>> all_to_all_recursive_doubling(
     SimMachine& machine, std::span<const ProcId> group, int tag,
     std::vector<Matrix> contributions);

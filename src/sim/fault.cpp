@@ -1,6 +1,7 @@
 #include "sim/fault.hpp"
 
 #include <cstring>
+#include <span>
 
 #include "util/error.hpp"
 #include "util/table.hpp"
@@ -176,21 +177,15 @@ std::size_t FaultInjector::corrupt_word_index(const Message& m,
 }
 
 void corrupt_message_word(Message& m, std::size_t word_index) {
-  std::size_t remaining = word_index;
-  for (auto& block : m.blocks) {
-    if (remaining >= block.size()) {
-      remaining -= block.size();
-      continue;
-    }
-    double& value = block.data()[remaining];
-    // Flip a high mantissa bit: a large, sign-preserving perturbation that
-    // never produces NaN/Inf (the exponent bits are untouched).
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    bits ^= 1ULL << 51;
-    std::memcpy(&value, &bits, sizeof bits);
-    return;
-  }
+  const std::span<double> words = m.payload.data();
+  if (word_index >= words.size()) return;
+  double& value = words[word_index];
+  // Flip a high mantissa bit: a large, sign-preserving perturbation that
+  // never produces NaN/Inf (the exponent bits are untouched).
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  bits ^= 1ULL << 51;
+  std::memcpy(&value, &bits, sizeof bits);
 }
 
 }  // namespace hpmm

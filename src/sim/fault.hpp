@@ -160,8 +160,8 @@ class FaultInjector {
   /// Virtual time at which pid fail-stops, if scheduled.
   std::optional<double> fail_time(ProcId pid) const noexcept;
 
-  /// Index (into the message's flattened payload words) of the element a
-  /// corrupting fate flips.
+  /// Index (into the message's payload words) of the element a corrupting
+  /// fate flips.
   std::size_t corrupt_word_index(const Message& m, std::uint64_t round,
                                  unsigned attempt) const;
 
@@ -172,9 +172,9 @@ class FaultInjector {
   std::shared_ptr<const FaultPlan> plan_;
 };
 
-/// Flip one mantissa bit of payload word `word_index` of `m` (indices run
-/// over the concatenated blocks in order). The flipped element differs from
-/// the original, so row/column checksums can detect and locate it.
+/// Flip one mantissa bit of payload word `word_index` of `m` (row-major
+/// index into the payload). The flipped element differs from the original,
+/// so row/column checksums can detect and locate it.
 void corrupt_message_word(Message& m, std::size_t word_index);
 
 }  // namespace hpmm

@@ -2,7 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "matrix/matrix.hpp"
 #include "topology/topology.hpp"
@@ -23,29 +23,22 @@ struct SpanContext {
   std::uint32_t hop = 0;
 };
 
-/// A point-to-point message: one or more matrix blocks moving from src to
-/// dst in a single transfer. Its cost is t_s + t_w * words() (times hop
+/// A point-to-point message: one matrix block moving from src to dst in a
+/// single transfer, held inline. Its cost is t_s + t_w * words() (times hop
 /// factors per the routing model).
 struct Message {
   ProcId src = 0;
   ProcId dst = 0;
   int tag = 0;
   SpanContext span;
-  std::vector<Matrix> blocks;
+  Matrix payload;
 
   Message() = default;
-  Message(ProcId s, ProcId d, int t, Matrix block) : src(s), dst(d), tag(t) {
-    blocks.push_back(std::move(block));
-  }
-  Message(ProcId s, ProcId d, int t, std::vector<Matrix> bs)
-      : src(s), dst(d), tag(t), blocks(std::move(bs)) {}
+  Message(ProcId s, ProcId d, int t, Matrix block)
+      : src(s), dst(d), tag(t), payload(std::move(block)) {}
 
-  /// Total words carried (the m of t_s + t_w * m).
-  std::size_t words() const noexcept {
-    std::size_t w = 0;
-    for (const auto& b : blocks) w += b.size();
-    return w;
-  }
+  /// Words carried (the m of t_s + t_w * m).
+  std::size_t words() const noexcept { return payload.size(); }
 };
 
 }  // namespace hpmm

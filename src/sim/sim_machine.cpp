@@ -598,8 +598,8 @@ Message SimMachine::receive(ProcId pid, int tag) {
       inbox_slots_[prev].next = next;
     }
     if (inbox_tail_[pid] == s) inbox_tail_[pid] = prev;
-    // Release the payload's heap blocks now (the moved-from state may keep
-    // capacity) and recycle the slot.
+    // Recycle the slot, cleared: the moved-from message still carries its
+    // header and the payload's stale shape.
     inbox_slots_[s].msg = Message{};
     inbox_slots_[s].next = inbox_free_;
     inbox_free_ = s;
@@ -749,9 +749,7 @@ std::uint64_t SimMachine::approx_footprint_bytes() const noexcept {
   total += vec_bytes(inbox_head_) + vec_bytes(inbox_tail_);
   total += vec_bytes(inbox_slots_);
   for (const auto& slot : inbox_slots_) {
-    for (const auto& block : slot.msg.blocks) {
-      total += static_cast<std::uint64_t>(block.size()) * sizeof(double);
-    }
+    total += static_cast<std::uint64_t>(slot.msg.words()) * sizeof(double);
   }
   total += vec_bytes(phase_totals_);
   for (const auto& row : phase_stats_) total += vec_bytes(row);
@@ -768,9 +766,7 @@ std::uint64_t SimMachine::approx_footprint_bytes() const noexcept {
            vec_bytes(scratch_.msg_other) + vec_bytes(scratch_.msg_ideal);
   for (const auto& row : scratch_.adopted) total += vec_bytes(row);
   total += vec_bytes(scratch_.adopted);
-  // Sparse traffic cells: unordered_map node ~= key + value + bucket/next
-  // pointers. 56 bytes is the usual libstdc++ figure for a 16-byte payload.
-  total += static_cast<std::uint64_t>(traffic_.links_used()) * 56;
+  total += traffic_.bytes();
   if (log_) total += log_->approx_bytes();
   return total;
 }

@@ -1,6 +1,7 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -158,42 +159,87 @@ void TimeSeries::write_json(std::ostream& os) const {
   os << "]}";
 }
 
+namespace {
+std::uint64_t traffic_key(std::size_t src, std::size_t dst) noexcept {
+  return (static_cast<std::uint64_t>(src) << 32) | dst;
+}
+}  // namespace
+
+TrafficMatrix::TrafficMatrix(std::size_t procs) : procs_(procs) {
+  require(procs <= (std::size_t{1} << 32),
+          "TrafficMatrix: at most 2^32 processors (pairs are keyed in 64 "
+          "bits)");
+}
+
+std::size_t TrafficMatrix::slot(std::uint64_t key) const noexcept {
+  // Fibonacci hashing: the top bits of key * 2^64/phi. The table is at most
+  // half full, so the walk always reaches the key or an empty cell.
+  const std::size_t mask = cells_.size() - 1;
+  std::size_t i = (key * 0x9e3779b97f4a7c15ull) >> shift_;
+  while (cells_[i].words != 0 && cells_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void TrafficMatrix::grow() {
+  const std::size_t size = cells_.empty() ? 16 : 2 * cells_.size();
+  const std::vector<Cell> old =
+      std::exchange(cells_, std::vector<Cell>(size));
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(size));
+  for (const Cell& c : old) {
+    if (c.words != 0) cells_[slot(c.key)] = c;
+  }
+}
+
 void TrafficMatrix::add(std::size_t src, std::size_t dst,
                         std::uint64_t words) {
   require(src < procs_ && dst < procs_,
           "TrafficMatrix::add: endpoint out of range");
   if (words == 0) return;
-  cells_[(static_cast<std::uint64_t>(src) << 32) | dst] += words;
+  if (cells_.empty()) grow();
+  const std::uint64_t key = traffic_key(src, dst);
+  std::size_t i = slot(key);
+  if (cells_[i].words == 0) {
+    // A new pair: grow first if it would fill more than half the table.
+    if (2 * (used_ + 1) > cells_.size()) {
+      grow();
+      i = slot(key);
+    }
+    cells_[i].key = key;
+    ++used_;
+  }
+  cells_[i].words += words;
   total_ += words;
 }
 
 std::uint64_t TrafficMatrix::words(std::size_t src, std::size_t dst) const {
   require(src < procs_ && dst < procs_,
           "TrafficMatrix::words: endpoint out of range");
-  const auto it = cells_.find((static_cast<std::uint64_t>(src) << 32) | dst);
-  return it == cells_.end() ? 0 : it->second;
+  if (cells_.empty()) return 0;
+  return cells_[slot(traffic_key(src, dst))].words;
 }
 
 TrafficMatrix::Link TrafficMatrix::busiest() const {
-  Link best;
-  for (const auto& [key, words] : cells_) {
-    const std::size_t src = static_cast<std::size_t>(key >> 32);
-    const std::size_t dst = static_cast<std::size_t>(key & 0xffffffffu);
-    if (words > best.words ||
-        (words == best.words && best.words > 0 &&
-         std::pair(src, dst) < std::pair(best.src, best.dst))) {
-      best = Link{src, dst, words};
+  // Keys order like (src, dst) pairs, so the lowest key breaks ties.
+  const Cell* best = nullptr;
+  for (const Cell& c : cells_) {
+    if (c.words != 0 && (best == nullptr || c.words > best->words ||
+                         (c.words == best->words && c.key < best->key))) {
+      best = &c;
     }
   }
-  return best;
+  if (best == nullptr) return {};
+  return Link{static_cast<std::size_t>(best->key >> 32),
+              static_cast<std::size_t>(best->key & 0xffffffffu), best->words};
 }
 
 std::vector<std::uint64_t> TrafficMatrix::dense() const {
+  require(procs_ == 0 ||
+              procs_ <= std::vector<std::uint64_t>().max_size() / procs_,
+          "TrafficMatrix::dense: p x p cells exceed the addressable size");
   std::vector<std::uint64_t> out(procs_ * procs_, 0);
-  for (const auto& [key, words] : cells_) {
-    const std::size_t src = static_cast<std::size_t>(key >> 32);
-    const std::size_t dst = static_cast<std::size_t>(key & 0xffffffffu);
-    out[src * procs_ + dst] = words;
+  for (const Cell& c : cells_) {
+    if (c.words == 0) continue;
+    out[(c.key >> 32) * procs_ + (c.key & 0xffffffffu)] = c.words;
   }
   return out;
 }

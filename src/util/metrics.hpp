@@ -6,7 +6,6 @@
 #include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace hpmm {
@@ -140,19 +139,21 @@ class TimeSeries {
 };
 
 /// Words transferred per directed (src, dst) processor pair. Stored sparsely
-/// (algorithms touch O(p log p) of the p^2 links), with a dense row-major
-/// export for tooling.
+/// (algorithms touch O(p log p) of the p^2 links) in one open-addressing
+/// table, with a dense row-major export for tooling.
 class TrafficMatrix {
  public:
-  explicit TrafficMatrix(std::size_t procs = 0) : procs_(procs) {}
+  /// At most 2^32 processors: a pair is keyed as (src << 32) | dst.
+  explicit TrafficMatrix(std::size_t procs = 0);
 
+  /// Zero-word messages are not recorded.
   void add(std::size_t src, std::size_t dst, std::uint64_t words);
   std::uint64_t words(std::size_t src, std::size_t dst) const;
 
   std::size_t procs() const noexcept { return procs_; }
   std::uint64_t total_words() const noexcept { return total_; }
   /// Number of directed pairs with nonzero traffic.
-  std::size_t links_used() const noexcept { return cells_.size(); }
+  std::size_t links_used() const noexcept { return used_; }
 
   struct Link {
     std::size_t src = 0;
@@ -164,11 +165,34 @@ class TrafficMatrix {
   Link busiest() const;
 
   /// Dense p x p row-major copy — O(p^2) memory, intended for export only.
+  /// Throws PreconditionError when p^2 cells exceed the addressable size.
   std::vector<std::uint64_t> dense() const;
 
+  /// Bytes held by the table.
+  std::uint64_t bytes() const noexcept {
+    return static_cast<std::uint64_t>(cells_.capacity()) * sizeof(Cell);
+  }
+
  private:
+  /// One table slot; words == 0 marks it empty, since add() never records
+  /// a zero-word message.
+  struct Cell {
+    std::uint64_t key = 0;
+    std::uint64_t words = 0;
+  };
+  /// Index of the cell holding `key`, or of the empty cell where it would
+  /// go (linear probing from a multiplicative hash).
+  std::size_t slot(std::uint64_t key) const noexcept;
+  /// Size the empty table to 16 cells, or double it and reinsert every
+  /// pair.
+  void grow();
+
   std::size_t procs_ = 0;
-  std::unordered_map<std::uint64_t, std::uint64_t> cells_;
+  /// Power-of-two size, empty until the first add() and 16 from there; at
+  /// most half full.
+  std::vector<Cell> cells_;
+  unsigned shift_ = 0;  ///< 64 - log2(cells_.size()), once cells_ is sized
+  std::size_t used_ = 0;
   std::uint64_t total_ = 0;
 };
 

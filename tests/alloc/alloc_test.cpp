@@ -1,7 +1,9 @@
 // Heap budget of the simulator's per-message path: a passing check, a lookup
-// of an existing metric and a warm exchange() + receive() round allocate
-// nothing. The binary replaces the global operator new with a counting one,
-// so it is built only without sanitizers (which replace it themselves).
+// of an existing metric, an unused traffic table and a warm exchange() +
+// receive() round allocate nothing, and a warm broadcast allocates only its
+// payload copies and its own bookkeeping. The binary replaces the global
+// operator new with a counting one, so it is built only without sanitizers
+// (which replace it themselves).
 
 #include <gtest/gtest.h>
 
@@ -9,10 +11,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "machine/params.hpp"
+#include "sim/collectives.hpp"
 #include "sim/sim_machine.hpp"
 #include "topology/hypercube.hpp"
 #include "util/error.hpp"
@@ -74,6 +78,18 @@ TEST(Alloc, LookingUpAnExistingMetricAllocatesNothing) {
             0u);
 }
 
+TEST(Alloc, AnUnusedTrafficTableAllocatesNothing) {
+  // Every SimMachine builds one, also with --traffic=off.
+  EXPECT_EQ(allocations_during([] {
+              TrafficMatrix t(1024);
+              t.add(1, 2, 0);
+              (void)t.words(1, 2);
+              (void)t.busiest();
+              t = TrafficMatrix(1024);
+            }),
+            0u);
+}
+
 class WarmExchange : public ::testing::TestWithParam<MetricsMode> {};
 
 // The e2e probe's round: 256 one-word messages between neighbouring pids
@@ -109,6 +125,41 @@ TEST_P(WarmExchange, RoundAllocatesNothing) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Capture, WarmExchange,
+                         ::testing::Values(MetricsMode::kAggregate,
+                                           MetricsMode::kFull),
+                         [](const auto& info) {
+                           return info.param == MetricsMode::kAggregate
+                                      ? "Aggregate"
+                                      : "Full";
+                         });
+
+class WarmBroadcast : public ::testing::TestWithParam<MetricsMode> {};
+
+// A 4x4 block broadcast by binomial tree over 64 members. Each of the 63
+// messages carries its own copy of the block, held inline; the other 8
+// allocations are the collective's bookkeeping: the result vector, the
+// `have` flags and one message vector for each of the six rounds.
+TEST_P(WarmBroadcast, AllocatesOnlyPayloadCopiesAndBookkeeping) {
+  MachineParams mp = machines::ncube2();
+  mp.metrics_mode = GetParam();
+  SimMachine m(std::make_shared<Hypercube>(6u), mp);
+  std::vector<ProcId> group(m.procs());
+  std::iota(group.begin(), group.end(), ProcId{0});
+  const Matrix block(4, 4, 1.0);
+  // Warm-up: the first broadcasts size the scratch rows, chains, inbox
+  // arena and traffic table.
+  for (int warm = 0; warm < 3; ++warm) {
+    (void)broadcast_binomial(m, group, 0, 1, block);
+  }
+  Matrix payload = block;  // the caller's copy, made before counting
+  EXPECT_EQ(allocations_during([&] {
+              (void)broadcast_binomial(m, group, 0, 1, std::move(payload));
+            }),
+            63u + 8u);
+  EXPECT_EQ(m.pending_messages(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capture, WarmBroadcast,
                          ::testing::Values(MetricsMode::kAggregate,
                                            MetricsMode::kFull),
                          [](const auto& info) {

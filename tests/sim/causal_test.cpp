@@ -4,6 +4,7 @@
 // capture modes, and sample down to an exact subset of the full DAG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -266,6 +267,97 @@ TEST(Causal, ResetDropsSpansAndTraceIdDependsOnSeed) {
   other.trace_sample_seed = 7;
   SimMachine m2(std::make_shared<Hypercube>(2u), other);
   EXPECT_NE(m.causal()->trace_id(), m2.causal()->trace_id());
+}
+
+TEST(Causal, SpanLogKeepsIndicesAddressesAndOrderAcrossChunks) {
+  // Three chunks: pid 0 runs a compute chain, and the first span of each
+  // later chunk is a transfer to pid 1 waiting on pid 0's head, the last
+  // span of the chunk before it. pid 1 then computes on from the second
+  // transfer, so its chain crosses both chunk boundaries.
+  using Kind = CausalGraph::Kind;
+  constexpr std::size_t kChunk = CausalGraph::Spans::kChunkSpans;
+  constexpr std::size_t kTotal = 2 * kChunk + 7;
+  CausalGraph g(2, /*complete=*/true, 1);
+  double t = 0.0;
+  const CausalGraph::Span* first = nullptr;
+  while (g.spans().size() < kTotal) {
+    const std::size_t i = g.spans().size();
+    if (i == kChunk || i == 2 * kChunk) {
+      g.append(1, Kind::kTransfer, 0, t - 1.0, t, {.word = 1.0}, 0.0,
+               {g.head(0), g.hop(0) + 1});
+    } else {
+      g.append(i > 2 * kChunk ? 1 : 0, Kind::kCompute, 0, t, t + 1.0,
+               {.compute = 1.0}, 0.0, {});
+      t += 1.0;
+    }
+    if (first == nullptr) first = &g.spans()[0];
+    ASSERT_EQ(&g.spans()[0], first) << "span 0 moved at append " << i;
+  }
+  const auto& spans = g.spans();
+  ASSERT_EQ(spans.size(), kTotal);
+  // The log counts the span slots written, not the untouched rest of the
+  // third chunk.
+  const std::uint64_t held = g.approx_bytes();
+  EXPECT_GE(held, kTotal * sizeof(CausalGraph::Span));
+  EXPECT_LT(held, (2 * kChunk + kChunk / 2) * sizeof(CausalGraph::Span));
+
+  // Preds and hops: pid 0's chain steps over the transfers, each transfer
+  // hangs off the span just before it, and pid 1 chains onto the second.
+  std::uint32_t prev0 = CausalGraph::kNoSpan;
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    const auto& s = spans[i];
+    if (i == kChunk || i == 2 * kChunk) {
+      EXPECT_EQ(s.kind, Kind::kTransfer);
+      EXPECT_EQ(s.pid, 1u);
+      EXPECT_EQ(s.pred, i - 1);
+      EXPECT_EQ(s.hop, 1u);
+    } else if (i > 2 * kChunk) {
+      EXPECT_EQ(s.pid, 1u);
+      EXPECT_EQ(s.pred, i - 1);
+      EXPECT_EQ(s.hop, 1u);
+    } else {
+      ASSERT_EQ(s.pid, 0u);
+      ASSERT_EQ(s.pred, prev0) << "span " << i;
+      ASSERT_EQ(s.hop, 0u);
+      prev0 = static_cast<std::uint32_t>(i);
+    }
+  }
+  EXPECT_EQ(g.head(0), 2 * kChunk - 1);
+  EXPECT_EQ(g.head(1), kTotal - 1);
+  EXPECT_EQ(g.hop(1), 1u);
+
+  // Iteration visits every span in append order, across chunk boundaries.
+  std::size_t n = 0;
+  for (const auto& s : spans) {
+    ASSERT_EQ(&s, &spans[n]) << "iteration diverges at " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, kTotal);
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const auto& s) { return s.pid == 1; }),
+            8);
+
+  // pid 1's critical path: pid 0's chain up to the second transfer (the
+  // first transfer is off it), the transfer, then pid 1's computes.
+  const auto cp = g.critical_path(1);
+  ASSERT_EQ(cp.spans.size(), kTotal - 1);
+  EXPECT_EQ(cp.spans.front(), 0u);
+  EXPECT_EQ(cp.spans.back(), kTotal - 1);
+  for (std::size_t k = 1; k < cp.spans.size(); ++k) {
+    ASSERT_LT(cp.spans[k - 1], cp.spans[k]);
+    ASSERT_NE(cp.spans[k], kChunk);
+  }
+  EXPECT_DOUBLE_EQ(cp.terms.compute, double(kTotal - 2));
+  EXPECT_DOUBLE_EQ(cp.terms.word, 1.0);
+
+  // reset() keeps the chunks: the next log starts at the same address, and
+  // the slots the first log wrote are still held.
+  g.reset();
+  EXPECT_EQ(g.spans().size(), 0u);
+  g.append(0, Kind::kCompute, 0, 0.0, 1.0, {.compute = 1.0}, 0.0, {});
+  EXPECT_EQ(&g.spans()[0], first);
+  EXPECT_EQ(g.spans()[0].pred, CausalGraph::kNoSpan);
+  EXPECT_EQ(g.approx_bytes(), held);
 }
 
 }  // namespace

@@ -198,6 +198,65 @@ TEST(AllToAllRecursiveDoubling, CostMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(m.time(), expect);
 }
 
+TEST(AllToAllRecursiveDoubling, UnpackingRestoresEachOriginsShape) {
+  // Each round packs the gathered blocks into one payload; receivers must
+  // get every block back with its own shape and elements.
+  auto m = make_machine(2);
+  const auto group = iota_group(4);
+  const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+      {1, 3}, {2, 2}, {3, 1}, {1, 1}};
+  const auto block_of = [&](std::size_t origin) {
+    Matrix b(shapes[origin].first, shapes[origin].second);
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      b.data()[k] = double(10 * origin + k);
+    }
+    return b;
+  };
+  std::vector<Matrix> contribs;
+  for (std::size_t i = 0; i < 4; ++i) contribs.push_back(block_of(i));
+  const auto result =
+      all_to_all_recursive_doubling(m, group, 1, std::move(contribs));
+  for (std::size_t pos = 0; pos < 4; ++pos) {
+    for (std::size_t origin = 0; origin < 4; ++origin) {
+      EXPECT_EQ(result[pos][origin], block_of(origin))
+          << "pos " << pos << " origin " << origin;
+    }
+  }
+  // Words still add up block by block: round 1 moves each member's own
+  // block, round 2 the pair it holds ({0,1} and {2,3} hold 7 and 4 words).
+  EXPECT_EQ(m.metrics().find_counter("sim.words")->value(),
+            3u + 4u + 3u + 1u + 2u * 7u + 2u * 4u);
+  m.assert_clean_run();
+}
+
+TEST(AllToAllRecursiveDoubling, StaleDuplicateIsUnpackedOnlyAsFarAsItsPayload) {
+  // Unreliable delivery queues a duplicate ahead of each original, and all
+  // rounds share one tag: round 2 therefore receives round 1's original,
+  // which holds one block where two are expected. Unpacking must stop at
+  // the end of that payload.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->duplicate_prob = 1.0;
+  plan->reliable = false;
+  MachineParams mp = test_params();
+  mp.faults = plan;
+  SimMachine m(std::make_shared<Hypercube>(2u), mp);
+  const auto group = iota_group(4);
+  std::vector<Matrix> contribs;
+  for (std::size_t i = 0; i < 4; ++i) contribs.push_back(stamped(3, double(i)));
+  const auto result =
+      all_to_all_recursive_doubling(m, group, 1, std::move(contribs));
+  for (std::size_t pos = 0; pos < 4; ++pos) {
+    SCOPED_TRACE(pos);
+    EXPECT_EQ(result[pos][pos], stamped(3, double(pos)));
+    EXPECT_EQ(result[pos][pos ^ 1], stamped(3, double(pos ^ 1)));
+    // The stale block is the round-1 partner's, filed under the first
+    // origin the round-2 partner would have sent; nothing else arrives.
+    EXPECT_EQ(result[pos][pos ^ 2], stamped(3, double(pos ^ 1)));
+    EXPECT_EQ(result[pos][pos ^ 3].size(), 0u);
+  }
+  EXPECT_EQ(m.fault_stats().duplicates_delivered, 8u);
+}
+
 TEST(AllToAllRecursiveDoubling, RequiresPow2Group) {
   auto m = make_machine(3);
   const auto group = std::vector<ProcId>{0, 1, 2};

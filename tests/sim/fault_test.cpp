@@ -162,17 +162,17 @@ TEST(FaultInjector, SlowdownAndFailTimeLookups) {
 
 TEST(CorruptMessageWord, FlipsExactlyOneElement) {
   Message m(0, 1, 1, payload(8));
-  for (std::size_t i = 0; i < 8; ++i) m.blocks.front()(0, i) = double(i + 1);
+  for (std::size_t i = 0; i < 8; ++i) m.payload(0, i) = double(i + 1);
   Message orig = m;
   corrupt_message_word(m, 5);
   int changed = 0;
   for (std::size_t i = 0; i < 8; ++i) {
-    if (m.blocks.front()(0, i) != orig.blocks.front()(0, i)) ++changed;
+    if (m.payload(0, i) != orig.payload(0, i)) ++changed;
   }
   EXPECT_EQ(changed, 1);
-  EXPECT_NE(m.blocks.front()(0, 5), orig.blocks.front()(0, 5));
+  EXPECT_NE(m.payload(0, 5), orig.payload(0, 5));
   // Mantissa-bit flip: the value stays finite (no NaN/Inf surprises).
-  EXPECT_TRUE(std::isfinite(m.blocks.front()(0, 5)));
+  EXPECT_TRUE(std::isfinite(m.payload(0, 5)));
 }
 
 TEST(SimMachineFaults, StragglerSlowsComputeByFactor) {

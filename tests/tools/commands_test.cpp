@@ -694,6 +694,16 @@ TEST(CliGolden, TraceChrome) {
   EXPECT_EQ(r.out, golden("trace_gk_chrome.json"));
 }
 
+TEST(CliGolden, InjectCorruptsThePackedAllToAllPayload) {
+  // The simple algorithm gathers rows and columns by recursive doubling,
+  // whose later rounds carry several blocks packed into one payload. The
+  // corrupted words, and so the product's error, are pinned here.
+  const auto r = run({"hpmm", "inject", "--algorithm=simple", "--n=16",
+                      "--p=16", "--corrupt=0.2", "--seed=3"});
+  EXPECT_EQ(r.code, 1);
+  EXPECT_EQ(r.out, golden("inject_simple_corrupt.txt"));
+}
+
 // ---- hostile input: exit 1 naming the flag, never a crash -----------------
 
 TEST(Cli, OutOfRangeValuesExitOneNamingTheFlag) {

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -107,6 +111,124 @@ TEST(TrafficMatrix, ValidatesRange) {
   TrafficMatrix t(2);
   EXPECT_THROW(t.add(2, 0, 1), PreconditionError);
   EXPECT_THROW(t.words(0, 5), PreconditionError);
+}
+
+TEST(TrafficMatrix, HoldsNoCellsUntilTrafficIsRecorded) {
+  TrafficMatrix t(64);
+  t.add(3, 4, 0);  // zero-word adds are not recorded
+  EXPECT_EQ(t.bytes(), 0u);
+  EXPECT_EQ(t.words(3, 4), 0u);
+  EXPECT_EQ(t.links_used(), 0u);
+  EXPECT_EQ(t.busiest().words, 0u);
+  EXPECT_EQ(t.dense(), std::vector<std::uint64_t>(64 * 64, 0));
+  t.add(3, 4, 2);
+  EXPECT_GT(t.bytes(), 0u);
+  EXPECT_EQ(t.words(3, 4), 2u);
+}
+
+TEST(TrafficMatrix, RejectsProcessorCountsPastTheKeyWidth) {
+  // Pairs are keyed as (src << 32) | dst: past 2^32 processors, 1 -> 0 and
+  // 0 -> 2^32 would share a key.
+  EXPECT_NO_THROW(TrafficMatrix(std::size_t{1} << 32));
+  for (const std::size_t procs :
+       {(std::size_t{1} << 32) + 1, std::size_t{1} << 33}) {
+    try {
+      TrafficMatrix t(procs);
+      ADD_FAILURE() << "accepted " << procs << " processors";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("TrafficMatrix"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TrafficMatrix, DenseRejectsAnUnaddressableSquare) {
+  // At 2^32 processors p * p wraps to 0 in 64 bits; at 2^31 it fits in 64
+  // bits but exceeds any vector. The sparse table itself stays usable.
+  for (const std::size_t procs : {std::size_t{1} << 32, std::size_t{1} << 31}) {
+    TrafficMatrix t(procs);
+    t.add(procs - 1, 0, 5);
+    EXPECT_EQ(t.words(procs - 1, 0), 5u);
+    EXPECT_EQ(t.words(0, procs - 1), 0u);
+    try {
+      (void)t.dense();
+      ADD_FAILURE() << "dense() accepted p = " << procs;
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("TrafficMatrix::dense"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TrafficMatrix, MatchesAnOrderedMapThroughRehashes) {
+  // A seeded add() sequence over 64 processors: thousands of distinct
+  // pairs (the table doubles from 16 to 8192 cells), half the adds aimed
+  // at nine hot pairs among pids 1..3, and some zero-word adds, which are
+  // not recorded.
+  constexpr std::size_t kProcs = 64;
+  using Pair = std::pair<std::size_t, std::size_t>;
+  TrafficMatrix t(kProcs);
+  std::map<Pair, std::uint64_t> ref;
+  std::uint64_t ref_total = 0;
+  Rng rng(20261017);
+  const auto add = [&](std::size_t src, std::size_t dst, std::uint64_t w) {
+    t.add(src, dst, w);
+    if (w > 0) ref[{src, dst}] += w;
+    ref_total += w;
+  };
+  const auto check = [&] {
+    ASSERT_EQ(t.links_used(), ref.size());
+    ASSERT_EQ(t.total_words(), ref_total);
+    const auto dense = t.dense();
+    ASSERT_EQ(dense.size(), kProcs * kProcs);
+    for (std::size_t src = 0; src < kProcs; ++src) {
+      for (std::size_t dst = 0; dst < kProcs; ++dst) {
+        const auto it = ref.find({src, dst});
+        const std::uint64_t want = it == ref.end() ? 0 : it->second;
+        ASSERT_EQ(t.words(src, dst), want) << src << " -> " << dst;
+        ASSERT_EQ(dense[src * kProcs + dst], want) << src << " -> " << dst;
+      }
+    }
+    // The map iterates pairs in ascending order: the first maximum is the
+    // lowest pair among the heaviest.
+    Pair best{0, 0};
+    std::uint64_t best_words = 0;
+    for (const auto& [pair, words] : ref) {
+      if (words > best_words) {
+        best = pair;
+        best_words = words;
+      }
+    }
+    const auto got = t.busiest();
+    ASSERT_EQ(got.words, best_words);
+    ASSERT_EQ(Pair(got.src, got.dst), best);
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const bool hot = rng.next_below(2) == 0;
+    const std::size_t src =
+        hot ? 1 + rng.next_below(3) : rng.next_below(kProcs);
+    const std::size_t dst =
+        hot ? 1 + rng.next_below(3) : rng.next_below(kProcs);
+    add(src, dst, rng.next_below(4));
+    if (i % 2500 == 0) check();
+  }
+  check();
+  ASSERT_GT(t.links_used(), 2048u);  // past the 4096-cell table
+  // Ties: a pair above the busiest one ties it and changes nothing; a pair
+  // below it ties it and wins.
+  const auto busiest = t.busiest();
+  ASSERT_GT(busiest.src + busiest.dst, 0u);
+  ASSERT_LT(busiest.src + busiest.dst, 2 * (kProcs - 1));
+  add(kProcs - 1, kProcs - 1,
+      busiest.words - t.words(kProcs - 1, kProcs - 1));
+  check();
+  EXPECT_EQ(t.busiest().src, busiest.src);
+  add(0, 0, busiest.words - t.words(0, 0));
+  check();
+  EXPECT_EQ(t.busiest().src, 0u);
+  EXPECT_EQ(t.busiest().dst, 0u);
 }
 
 TEST(MetricsRegistry, FetchOrCreateByName) {
